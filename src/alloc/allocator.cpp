@@ -26,8 +26,7 @@ netflow::SolveOptions robust_options(const AllocatorOptions& options) {
   netflow::SolveOptions solve = options.solve;
   if (solve.chain.empty()) {
     solve.chain = {options.solver, netflow::SolverKind::kNetworkSimplex,
-                   netflow::SolverKind::kSuccessiveShortestPaths,
-                   netflow::SolverKind::kCycleCanceling};
+                   netflow::SolverKind::kSuccessiveShortestPaths};
   }
   solve.certify = options.certify ? netflow::CertifyLevel::kOptimal
                                   : netflow::CertifyLevel::kFeasible;

@@ -27,8 +27,10 @@ struct AllocatorOptions {
   /// feasibility + cost consistency of every accepted flow.
   bool certify = false;
   /// Budgets and fallback chain for the robust solve path. An empty
-  /// chain starts with `solver` and falls back through the remaining
-  /// algorithms; the certification level is derived from `certify`.
+  /// chain runs `solver` -> network simplex -> successive shortest
+  /// paths (duplicates dropped); cycle canceling is the differential
+  /// oracle and runs only as `solver` or when listed explicitly. The
+  /// certification level is derived from `certify`.
   netflow::SolveOptions solve;
   /// When the flow path fails (bad instance, budget exhausted, chain
   /// uncertified, or infeasible), degrade to the two-phase baseline

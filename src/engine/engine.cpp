@@ -120,35 +120,8 @@ void record_solve(detail::EngineStatsCore* stats,
     stats->retried.fetch_add(r.solve_diagnostics.retries,
                              std::memory_order_relaxed);
   }
-  const netflow::PerfCounters& p = r.solve_diagnostics.perf;
-  const auto bump = [](std::atomic<std::int64_t>& a, std::int64_t v) {
-    if (v != 0) a.fetch_add(v, std::memory_order_relaxed);
-  };
-  bump(stats->perf_solves, p.solves);
-  bump(stats->perf_augmentations, p.augmentations);
-  bump(stats->perf_settles, p.dijkstra_settles);
-  bump(stats->perf_heap_pushes, p.heap_pushes);
-  bump(stats->perf_heap_pops, p.heap_pops);
-  bump(stats->perf_pivots, p.simplex_pivots);
-  bump(stats->perf_cs_phases, p.cs_phases);
-  bump(stats->perf_cs_pushes, p.cs_pushes);
-  bump(stats->perf_cs_relabels, p.cs_relabels);
-  bump(stats->perf_price_refinements, p.price_refinements);
-  bump(stats->perf_auto_selections, p.auto_selections);
-  bump(stats->perf_workspace_reuse, p.workspace_reuse_hits);
-  bump(stats->perf_warm_hits, p.warm_start_hits);
-  bump(stats->perf_warm_misses, p.warm_start_misses);
-  bump(stats->perf_validate_ns, p.validate_ns);
-  bump(stats->perf_solve_ns, p.solve_ns);
-  bump(stats->perf_certify_ns, p.certify_ns);
-  bump(stats->perf_mem_charged, p.mem_charged_bytes);
-  bump(stats->perf_mem_denials, p.mem_denials);
-  // Peak is max-merged, not summed (see PerfCounters::add).
-  std::int64_t cur = stats->perf_mem_peak.load(std::memory_order_relaxed);
-  while (p.mem_peak_bytes > cur &&
-         !stats->perf_mem_peak.compare_exchange_weak(
-             cur, p.mem_peak_bytes, std::memory_order_relaxed)) {
-  }
+  std::lock_guard<std::mutex> lock(stats->perf_mutex);
+  stats->perf.add(r.solve_diagnostics.perf);
 }
 
 /// Maps the engine's audit knobs onto the auditor and stamps the
@@ -359,33 +332,10 @@ EngineStats Engine::stats() const {
   s.memory_bytes_in_use = memory_budget_.used();
   s.memory_peak_bytes = memory_budget_.peak();
   s.memory_denials = memory_budget_.denials();
-  const auto& c = *stats_core_;
-  s.perf.solves = c.perf_solves.load(std::memory_order_relaxed);
-  s.perf.augmentations =
-      c.perf_augmentations.load(std::memory_order_relaxed);
-  s.perf.dijkstra_settles = c.perf_settles.load(std::memory_order_relaxed);
-  s.perf.heap_pushes = c.perf_heap_pushes.load(std::memory_order_relaxed);
-  s.perf.heap_pops = c.perf_heap_pops.load(std::memory_order_relaxed);
-  s.perf.simplex_pivots = c.perf_pivots.load(std::memory_order_relaxed);
-  s.perf.cs_phases = c.perf_cs_phases.load(std::memory_order_relaxed);
-  s.perf.cs_pushes = c.perf_cs_pushes.load(std::memory_order_relaxed);
-  s.perf.cs_relabels = c.perf_cs_relabels.load(std::memory_order_relaxed);
-  s.perf.price_refinements =
-      c.perf_price_refinements.load(std::memory_order_relaxed);
-  s.perf.auto_selections =
-      c.perf_auto_selections.load(std::memory_order_relaxed);
-  s.perf.workspace_reuse_hits =
-      c.perf_workspace_reuse.load(std::memory_order_relaxed);
-  s.perf.warm_start_hits = c.perf_warm_hits.load(std::memory_order_relaxed);
-  s.perf.warm_start_misses =
-      c.perf_warm_misses.load(std::memory_order_relaxed);
-  s.perf.validate_ns = c.perf_validate_ns.load(std::memory_order_relaxed);
-  s.perf.solve_ns = c.perf_solve_ns.load(std::memory_order_relaxed);
-  s.perf.certify_ns = c.perf_certify_ns.load(std::memory_order_relaxed);
-  s.perf.mem_charged_bytes =
-      c.perf_mem_charged.load(std::memory_order_relaxed);
-  s.perf.mem_denials = c.perf_mem_denials.load(std::memory_order_relaxed);
-  s.perf.mem_peak_bytes = c.perf_mem_peak.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(stats_core_->perf_mutex);
+    s.perf = stats_core_->perf;
+  }
   if (breaker_ != nullptr) {
     s.breaker_threshold = breaker_->threshold();
     s.open_breakers = breaker_->open_solvers();
@@ -400,12 +350,15 @@ EngineStats Engine::stats() const {
     s.cache_audit_evictions = cs.audit_evictions;
     s.cache_bytes_in_use = cs.bytes_in_use;
     s.cache_entries = cs.entries;
-    // Mirror into the perf counters so LERA_PERF lines carry them too.
-    s.perf.cache_hits = cs.hits;
-    s.perf.cache_misses = cs.misses;
-    s.perf.cache_evictions = cs.evictions + cs.audit_evictions;
-    s.perf.cache_audit_samples = cs.audit_samples;
-    s.perf.cache_bytes = cs.bytes_in_use;
+    // Fold into the perf totals (solves leave the cache_* fields at 0)
+    // so LERA_PERF lines carry them too.
+    netflow::PerfCounters cache_perf;
+    cache_perf.cache_hits = cs.hits;
+    cache_perf.cache_misses = cs.misses;
+    cache_perf.cache_evictions = cs.evictions + cs.audit_evictions;
+    cache_perf.cache_audit_samples = cs.audit_samples;
+    cache_perf.cache_bytes = cs.bytes_in_use;
+    s.perf.add(cache_perf);
   }
   return s;
 }

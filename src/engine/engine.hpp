@@ -208,10 +208,10 @@ struct EngineStats {
   /// empty when breaker_threshold is 0).
   std::vector<std::string> open_breakers;
   int breaker_threshold = 0;
-  /// Solver-level performance counters summed over every completed
-  /// solve (augmentations, heap traffic, workspace/warm-start hits,
-  /// per-phase wall time); see netflow::PerfCounters. The cache_*
-  /// counters below are mirrored into perf as well.
+  /// Solver-level performance counters folded over every completed
+  /// solve with netflow::PerfCounters::add (augmentations, heap traffic,
+  /// workspace/warm-start hits, per-phase wall time). The cache_*
+  /// counters below are folded into perf as well.
   netflow::PerfCounters perf;
   /// Allocation-cache counters (all 0 when cache_entries is 0).
   std::int64_t cache_hits = 0;
@@ -225,8 +225,8 @@ struct EngineStats {
 };
 
 namespace detail {
-/// Lock-free counters behind EngineStats, shared (by shared_ptr) with
-/// queued Session jobs so they outlive any one handle.
+/// Counters behind EngineStats, shared (by shared_ptr) with queued
+/// Session jobs so they outlive any one handle.
 struct EngineStatsCore {
   std::atomic<std::int64_t> started{0};
   std::atomic<std::int64_t> completed{0};
@@ -235,29 +235,10 @@ struct EngineStatsCore {
   std::atomic<std::int64_t> degraded{0};
   std::atomic<std::int64_t> retried{0};
   std::atomic<std::int64_t> memory_exceeded{0};
-  /// Atomic mirror of netflow::PerfCounters, harvested from each
-  /// solve's diagnostics as it completes.
-  std::atomic<std::int64_t> perf_solves{0};
-  std::atomic<std::int64_t> perf_augmentations{0};
-  std::atomic<std::int64_t> perf_settles{0};
-  std::atomic<std::int64_t> perf_heap_pushes{0};
-  std::atomic<std::int64_t> perf_heap_pops{0};
-  std::atomic<std::int64_t> perf_pivots{0};
-  std::atomic<std::int64_t> perf_cs_phases{0};
-  std::atomic<std::int64_t> perf_cs_pushes{0};
-  std::atomic<std::int64_t> perf_cs_relabels{0};
-  std::atomic<std::int64_t> perf_price_refinements{0};
-  std::atomic<std::int64_t> perf_auto_selections{0};
-  std::atomic<std::int64_t> perf_workspace_reuse{0};
-  std::atomic<std::int64_t> perf_warm_hits{0};
-  std::atomic<std::int64_t> perf_warm_misses{0};
-  std::atomic<std::int64_t> perf_validate_ns{0};
-  std::atomic<std::int64_t> perf_solve_ns{0};
-  std::atomic<std::int64_t> perf_certify_ns{0};
-  std::atomic<std::int64_t> perf_mem_charged{0};
-  std::atomic<std::int64_t> perf_mem_denials{0};
-  /// Max-merged (not summed): the largest per-solve budget peak seen.
-  std::atomic<std::int64_t> perf_mem_peak{0};
+  /// Every completed solve's diagnostics folded in with
+  /// netflow::PerfCounters::add, under perf_mutex.
+  std::mutex perf_mutex;
+  netflow::PerfCounters perf;
 };
 
 /// A leased per-solve context: one solver workspace plus a small pool

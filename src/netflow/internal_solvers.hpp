@@ -23,9 +23,9 @@ FlowSolution budget_exceeded(SolverKind kind);
 
 /// One registered algorithm. The workspace reference is mandatory at
 /// this layer: "no workspace" has already been resolved to a throwaway
-/// local arena by the public wrappers, so backends never carry their own
-/// fallback plumbing. Everything that runs a solver — solve()'s
-/// dispatch, solve_robust's fallback chain, the circuit breaker's kind
+/// local arena by solve(), so backends never carry their own fallback
+/// plumbing. Everything that runs a solver — solve()'s dispatch,
+/// solve_robust's fallback chain, the circuit breaker's kind
 /// enumeration, and the kAuto selector — routes through this table.
 struct SolverBackend {
   SolverKind kind;
@@ -78,17 +78,5 @@ FlowSolution run_cost_scaling(const Graph& g, SolveGuard* guard,
 /// pick a different equal-cost optimum.
 SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
                       int max_sinks_per_round = 1);
-
-/// Thin pointer-taking wrappers around the registry entries, kept for
-/// one release for callers predating SolverBackend. A null workspace is
-/// resolved to a throwaway local arena.
-FlowSolution solve_ssp(const Graph& g, SolveGuard* guard = nullptr,
-                       SolverWorkspace* ws = nullptr);
-FlowSolution solve_cycle_canceling(const Graph& g, SolveGuard* guard = nullptr,
-                                   SolverWorkspace* ws = nullptr);
-FlowSolution solve_network_simplex(const Graph& g, SolveGuard* guard = nullptr,
-                                   SolverWorkspace* ws = nullptr);
-FlowSolution solve_cost_scaling(const Graph& g, SolveGuard* guard = nullptr,
-                                SolverWorkspace* ws = nullptr);
 
 }  // namespace lera::netflow::internal

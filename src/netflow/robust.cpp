@@ -141,8 +141,7 @@ std::vector<SolverKind> effective_chain(const Graph& g,
   std::vector<SolverKind> chain = options.chain;
   if (chain.empty()) {
     chain = {SolverKind::kNetworkSimplex,
-             SolverKind::kSuccessiveShortestPaths,
-             SolverKind::kCycleCanceling};
+             SolverKind::kSuccessiveShortestPaths};
   }
   // Expand SolverKind::kAuto in place: measure the instance once, ask
   // the shape-based selector for a concrete backend, and record the
@@ -210,9 +209,10 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
   SolverWorkspace local_ws;
   SolverWorkspace* ws =
       options.workspace != nullptr ? options.workspace : &local_ws;
+  // Baseline first, so this solve's reuse hit lands in its own delta.
+  const PerfCounters perf_base = ws->counters;
   if (ws->used) ++ws->counters.workspace_reuse_hits;
   ws->used = true;
-  const PerfCounters perf_base = ws->counters;
 
   const auto t0 = std::chrono::steady_clock::now();
   auto elapsed = [&t0]() {

@@ -94,7 +94,8 @@ class CircuitBreaker {
 /// Options for solve_robust.
 struct SolveOptions {
   /// Solvers to try, in order. Empty selects the default chain
-  /// network simplex -> successive shortest paths -> cycle canceling.
+  /// network simplex -> successive shortest paths. Cycle canceling is
+  /// the differential oracle and runs only when listed explicitly.
   /// A SolverKind::kAuto entry is expanded in place by the shape-based
   /// selector (select.hpp) before any attempt runs; the chosen backend
   /// and the driving instance features land in SolveDiagnostics.

@@ -61,8 +61,7 @@ constexpr SolverBackend kBackends[] = {
     {SolverKind::kCostScaling, "cost-scaling", run_cost_scaling},
 };
 
-/// Resolves a null workspace to a throwaway local arena; the legacy
-/// pointer-taking wrappers and solve() both funnel through here.
+/// Resolves a null workspace to a throwaway local arena for solve().
 FlowSolution run_backend(const SolverBackend& backend, const Graph& g,
                          SolveGuard* guard, SolverWorkspace* ws) {
   if (ws != nullptr) return backend.fn(g, guard, *ws);
@@ -79,26 +78,6 @@ const SolverBackend* find_backend(SolverKind kind) {
     if (b.kind == kind) return &b;
   }
   return nullptr;
-}
-
-FlowSolution solve_ssp(const Graph& g, SolveGuard* guard,
-                       SolverWorkspace* ws) {
-  return run_backend(kBackends[0], g, guard, ws);
-}
-
-FlowSolution solve_cycle_canceling(const Graph& g, SolveGuard* guard,
-                                   SolverWorkspace* ws) {
-  return run_backend(kBackends[1], g, guard, ws);
-}
-
-FlowSolution solve_network_simplex(const Graph& g, SolveGuard* guard,
-                                   SolverWorkspace* ws) {
-  return run_backend(kBackends[2], g, guard, ws);
-}
-
-FlowSolution solve_cost_scaling(const Graph& g, SolveGuard* guard,
-                                SolverWorkspace* ws) {
-  return run_backend(kBackends[3], g, guard, ws);
 }
 
 }  // namespace internal

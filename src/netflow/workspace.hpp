@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,145 +38,100 @@ std::int64_t vec_bytes(const std::vector<T>& v) {
 
 }  // namespace detail
 
+/// Every PerfCounters field, declared once: X(member, LERA_PERF key,
+/// merge rule), in LERA_PERF output order. kSum counters accumulate;
+/// kMax fields are high-water snapshots, merged with max by add() and
+/// carried (not differenced) by delta_since().
+#define LERA_PERF_COUNTERS(X)                                                 \
+  /* Solver runs through the arena. */                                        \
+  X(solves, "solves", kSum)                                                   \
+  /* SSP augmenting paths applied. */                                         \
+  X(augmentations, "augmentations", kSum)                                     \
+  /* Nodes permanently labeled. */                                            \
+  X(dijkstra_settles, "settles", kSum)                                        \
+  /* Dijkstra heap insertions. */                                             \
+  X(heap_pushes, "heap_pushes", kSum)                                         \
+  /* Dijkstra heap pop-mins. */                                               \
+  X(heap_pops, "heap_pops", kSum)                                             \
+  /* Network-simplex basis changes. */                                        \
+  X(simplex_pivots, "pivots", kSum)                                           \
+  /* Cost-scaling epsilon phases run. */                                      \
+  X(cs_phases, "cs_phases", kSum)                                             \
+  /* Cost-scaling push operations. */                                         \
+  X(cs_pushes, "cs_pushes", kSum)                                             \
+  /* Cost-scaling relabel operations. */                                      \
+  X(cs_relabels, "cs_relabels", kSum)                                         \
+  /* Phases settled by price refinement alone. */                             \
+  X(price_refinements, "price_refinements", kSum)                             \
+  /* SolverKind::kAuto resolutions. */                                        \
+  X(auto_selections, "auto_selections", kSum)                                 \
+  /* Solves on an arena an earlier solve used. */                             \
+  X(workspace_reuse_hits, "workspace_reuse", kSum)                            \
+  /* Resolves served from a prior flow. */                                    \
+  X(warm_start_hits, "warm_hits", kSum)                                       \
+  /* Warm attempts that fell to cold. */                                      \
+  X(warm_start_misses, "warm_misses", kSum)                                   \
+  /* Optimal answers the warm cache refused to record. */                     \
+  X(warm_store_rejects, "warm_store_rejects", kSum)                           \
+  /* Allocation-cache serves (engine). */                                     \
+  X(cache_hits, "cache_hits", kSum)                                           \
+  /* Allocation-cache lookups that solved. */                                 \
+  X(cache_misses, "cache_misses", kSum)                                       \
+  /* Allocation-cache entries evicted. */                                     \
+  X(cache_evictions, "cache_evictions", kSum)                                 \
+  /* Sampled hit re-audits run. */                                            \
+  X(cache_audit_samples, "cache_audit_samples", kSum)                         \
+  /* Bytes the allocation cache holds. */                                     \
+  X(cache_bytes, "cache_bytes", kMax)                                         \
+  /* Instance validation wall time. */                                        \
+  X(validate_ns, "validate_ns", kSum)                                         \
+  /* Solver-proper wall time. */                                              \
+  X(solve_ns, "solve_ns", kSum)                                               \
+  /* Certification wall time. */                                              \
+  X(certify_ns, "certify_ns", kSum)                                           \
+  /* Bytes charged to memory budgets. */                                      \
+  X(mem_charged_bytes, "mem_charged_bytes", kSum)                             \
+  /* Solve attempts refused by a budget. */                                   \
+  X(mem_denials, "mem_denials", kSum)                                         \
+  /* High-water budget bytes observed. */                                     \
+  X(mem_peak_bytes, "mem_peak_bytes", kMax)
+
 /// Monotonic performance counters accumulated by the solvers that run
 /// through a workspace. Aggregatable: add() folds one counter set into
 /// another (Engine-wide totals), delta_since() isolates a single solve.
 struct PerfCounters {
-  std::int64_t solves = 0;            ///< Solver runs through this arena.
-  std::int64_t augmentations = 0;     ///< SSP augmenting paths applied.
-  std::int64_t dijkstra_settles = 0;  ///< Nodes permanently labeled.
-  std::int64_t heap_pushes = 0;       ///< Dijkstra heap insertions.
-  std::int64_t heap_pops = 0;         ///< Dijkstra heap pop-mins.
-  std::int64_t simplex_pivots = 0;    ///< Network-simplex basis changes.
-  std::int64_t cs_phases = 0;         ///< Cost-scaling epsilon phases run.
-  std::int64_t cs_pushes = 0;         ///< Cost-scaling push operations.
-  std::int64_t cs_relabels = 0;       ///< Cost-scaling relabel operations.
-  std::int64_t price_refinements = 0;  ///< Phases settled by price
-                                       ///< refinement (no refine() needed).
-  std::int64_t auto_selections = 0;  ///< SolverKind::kAuto resolutions.
-  std::int64_t workspace_reuse_hits = 0;  ///< Solves on a pre-warmed arena.
-  std::int64_t warm_start_hits = 0;    ///< Resolves served from a prior flow.
-  std::int64_t warm_start_misses = 0;  ///< Warm attempts that fell to cold.
-  std::int64_t warm_store_rejects = 0;  ///< Optimal answers the warm cache
-                                        ///< refused to record (see
-                                        ///< WarmStoreOutcome).
-  std::int64_t cache_hits = 0;       ///< Allocation-cache serves (engine).
-  std::int64_t cache_misses = 0;     ///< Allocation-cache lookups that solved.
-  std::int64_t cache_evictions = 0;  ///< Allocation-cache entries evicted.
-  std::int64_t cache_audit_samples = 0;  ///< Sampled hit re-audits run.
-  std::int64_t cache_bytes = 0;  ///< Bytes the allocation cache holds
-                                 ///< (snapshot, merged with max like a
-                                 ///< high-water mark on add()).
-  std::int64_t validate_ns = 0;  ///< Instance validation wall time.
-  std::int64_t solve_ns = 0;     ///< Solver-proper wall time.
-  std::int64_t certify_ns = 0;   ///< Certification wall time.
-  std::int64_t mem_charged_bytes = 0;  ///< Bytes charged to memory budgets
-                                       ///< (cumulative across solves).
-  std::int64_t mem_denials = 0;  ///< Solve attempts refused by a budget.
-  std::int64_t mem_peak_bytes = 0;  ///< High-water budget bytes observed
-                                    ///< (merged with max, not summed).
+  enum Merge { kSum, kMax };
 
-  void reset() { *this = PerfCounters{}; }
+#define LERA_PERF_MEMBER(member, key, merge) std::int64_t member = 0;
+  LERA_PERF_COUNTERS(LERA_PERF_MEMBER)
+#undef LERA_PERF_MEMBER
 
   void add(const PerfCounters& o) {
-    solves += o.solves;
-    augmentations += o.augmentations;
-    dijkstra_settles += o.dijkstra_settles;
-    heap_pushes += o.heap_pushes;
-    heap_pops += o.heap_pops;
-    simplex_pivots += o.simplex_pivots;
-    cs_phases += o.cs_phases;
-    cs_pushes += o.cs_pushes;
-    cs_relabels += o.cs_relabels;
-    price_refinements += o.price_refinements;
-    auto_selections += o.auto_selections;
-    workspace_reuse_hits += o.workspace_reuse_hits;
-    warm_start_hits += o.warm_start_hits;
-    warm_start_misses += o.warm_start_misses;
-    warm_store_rejects += o.warm_store_rejects;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    cache_evictions += o.cache_evictions;
-    cache_audit_samples += o.cache_audit_samples;
-    cache_bytes = cache_bytes > o.cache_bytes ? cache_bytes : o.cache_bytes;
-    validate_ns += o.validate_ns;
-    solve_ns += o.solve_ns;
-    certify_ns += o.certify_ns;
-    mem_charged_bytes += o.mem_charged_bytes;
-    mem_denials += o.mem_denials;
-    mem_peak_bytes = mem_peak_bytes > o.mem_peak_bytes ? mem_peak_bytes
-                                                       : o.mem_peak_bytes;
+#define LERA_PERF_ADD(member, key, merge) \
+  member = merge == kSum ? member + o.member : std::max(member, o.member);
+    LERA_PERF_COUNTERS(LERA_PERF_ADD)
+#undef LERA_PERF_ADD
   }
 
-  /// Counter values accumulated since \p base (field-wise this - base).
+  /// Counter values accumulated since \p base (field-wise this - base;
+  /// a kMax snapshot has no meaningful delta and carries its value).
   PerfCounters delta_since(const PerfCounters& base) const {
     PerfCounters d;
-    d.solves = solves - base.solves;
-    d.augmentations = augmentations - base.augmentations;
-    d.dijkstra_settles = dijkstra_settles - base.dijkstra_settles;
-    d.heap_pushes = heap_pushes - base.heap_pushes;
-    d.heap_pops = heap_pops - base.heap_pops;
-    d.simplex_pivots = simplex_pivots - base.simplex_pivots;
-    d.cs_phases = cs_phases - base.cs_phases;
-    d.cs_pushes = cs_pushes - base.cs_pushes;
-    d.cs_relabels = cs_relabels - base.cs_relabels;
-    d.price_refinements = price_refinements - base.price_refinements;
-    d.auto_selections = auto_selections - base.auto_selections;
-    d.workspace_reuse_hits = workspace_reuse_hits - base.workspace_reuse_hits;
-    d.warm_start_hits = warm_start_hits - base.warm_start_hits;
-    d.warm_start_misses = warm_start_misses - base.warm_start_misses;
-    d.warm_store_rejects = warm_store_rejects - base.warm_store_rejects;
-    d.cache_hits = cache_hits - base.cache_hits;
-    d.cache_misses = cache_misses - base.cache_misses;
-    d.cache_evictions = cache_evictions - base.cache_evictions;
-    d.cache_audit_samples = cache_audit_samples - base.cache_audit_samples;
-    // Like mem_peak_bytes, a snapshot: carry the current value.
-    d.cache_bytes = cache_bytes;
-    d.validate_ns = validate_ns - base.validate_ns;
-    d.solve_ns = solve_ns - base.solve_ns;
-    d.certify_ns = certify_ns - base.certify_ns;
-    d.mem_charged_bytes = mem_charged_bytes - base.mem_charged_bytes;
-    d.mem_denials = mem_denials - base.mem_denials;
-    // A high-water mark has no meaningful delta; carry the current one.
-    d.mem_peak_bytes = mem_peak_bytes;
+#define LERA_PERF_DELTA(member, key, merge) \
+  d.member = merge == kSum ? member - base.member : member;
+    LERA_PERF_COUNTERS(LERA_PERF_DELTA)
+#undef LERA_PERF_DELTA
     return d;
   }
 
   /// One-line key=value rendering for logs and --perf output.
   std::string summary() const {
     std::string out;
-    const auto field = [&out](const char* key, std::int64_t value) {
-      if (!out.empty()) out += ' ';
-      out += key;
-      out += '=';
-      out += std::to_string(value);
-    };
-    field("solves", solves);
-    field("augmentations", augmentations);
-    field("settles", dijkstra_settles);
-    field("heap_pushes", heap_pushes);
-    field("heap_pops", heap_pops);
-    field("pivots", simplex_pivots);
-    field("cs_phases", cs_phases);
-    field("cs_pushes", cs_pushes);
-    field("cs_relabels", cs_relabels);
-    field("price_refinements", price_refinements);
-    field("auto_selections", auto_selections);
-    field("workspace_reuse", workspace_reuse_hits);
-    field("warm_hits", warm_start_hits);
-    field("warm_misses", warm_start_misses);
-    field("warm_store_rejects", warm_store_rejects);
-    field("cache_hits", cache_hits);
-    field("cache_misses", cache_misses);
-    field("cache_evictions", cache_evictions);
-    field("cache_audit_samples", cache_audit_samples);
-    field("cache_bytes", cache_bytes);
-    field("validate_ns", validate_ns);
-    field("solve_ns", solve_ns);
-    field("certify_ns", certify_ns);
-    field("mem_charged_bytes", mem_charged_bytes);
-    field("mem_denials", mem_denials);
-    field("mem_peak_bytes", mem_peak_bytes);
+#define LERA_PERF_FIELD(member, key, merge)   \
+  out += out.empty() ? key "=" : " " key "="; \
+  out += std::to_string(member);
+    LERA_PERF_COUNTERS(LERA_PERF_FIELD)
+#undef LERA_PERF_FIELD
     return out;
   }
 };
@@ -360,8 +316,8 @@ struct SolverWorkspace {
   CostScalingScratch cost_scaling;
   CycleCancelScratch cycle_cancel;
   PerfCounters counters;
-  /// True once any solve has run through this arena (used to count
-  /// workspace_reuse_hits).
+  /// True once any solve has run through this arena; every later solve
+  /// through it counts as a workspace reuse.
   bool used = false;
 
   /// Total bytes the arena currently retains across the residual and

@@ -256,8 +256,8 @@ TEST(AutoSelection, WarmCacheBiasesSelectionTowardSsp) {
 }
 
 // The registry is the single dispatch point: every concrete kind
-// resolves to a backend whose kind matches, kAuto resolves to none
-// (it is expanded before dispatch), and the legacy wrappers still run.
+// resolves to a backend whose kind matches, and kAuto resolves to none
+// (it is expanded before dispatch).
 TEST(BackendRegistry, FindsEveryConcreteKindAndNoAuto) {
   for (const SolverKind kind :
        {SolverKind::kSuccessiveShortestPaths, SolverKind::kCycleCanceling,
@@ -269,12 +269,6 @@ TEST(BackendRegistry, FindsEveryConcreteKindAndNoAuto) {
   }
   EXPECT_EQ(internal::find_backend(SolverKind::kAuto), nullptr);
   EXPECT_EQ(internal::solver_backends().size(), 4u);
-
-  const Graph g = workloads::random_flow_problem(3, options_for(3));
-  const FlowSolution via_solve = solve(g, SolverKind::kNetworkSimplex);
-  const FlowSolution via_legacy = internal::solve_network_simplex(g);
-  EXPECT_EQ(via_legacy.status, via_solve.status);
-  EXPECT_EQ(via_legacy.arc_flow, via_solve.arc_flow);
 }
 
 // The new counters must flow: cost-scaling fills its phase/push/relabel

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <queue>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -338,7 +340,20 @@ TEST(CsrSolver, PerfCountersAccumulateAcrossSolves) {
   // same work both times.
   EXPECT_EQ(delta.augmentations, first.augmentations);
   EXPECT_EQ(delta.heap_pops, first.heap_pops);
-  EXPECT_NE(ws.counters.summary().find("augmentations="), std::string::npos);
+  // The LERA_PERF key list is an output format: pin every key, in order.
+  std::vector<std::string> keys;
+  std::istringstream fields(ws.counters.summary());
+  for (std::string field; fields >> field;) {
+    keys.push_back(field.substr(0, field.find('=')));
+  }
+  const std::vector<std::string> expected = {
+      "solves", "augmentations", "settles", "heap_pushes", "heap_pops",
+      "pivots", "cs_phases", "cs_pushes", "cs_relabels", "price_refinements",
+      "auto_selections", "workspace_reuse", "warm_hits", "warm_misses",
+      "warm_store_rejects", "cache_hits", "cache_misses", "cache_evictions",
+      "cache_audit_samples", "cache_bytes", "validate_ns", "solve_ns",
+      "certify_ns", "mem_charged_bytes", "mem_denials", "mem_peak_bytes"};
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(CsrSolver, NetworkSimplexSharesTheWorkspace) {

@@ -394,7 +394,7 @@ TEST(SolveRobust, EveryBreakerOpenSurfacesLoudly) {
   EXPECT_EQ(sol.status, SolveStatus::kUncertified);
   EXPECT_NE(sol.message.find("circuit-broken"), std::string::npos);
   EXPECT_TRUE(diag.attempts.empty());
-  EXPECT_EQ(diag.breaker_skips.size(), 3u);  // The default chain.
+  EXPECT_EQ(diag.breaker_skips.size(), 2u);  // The default chain.
   EXPECT_EQ(diag.certification, CertificationVerdict::kNotRun);
 }
 
