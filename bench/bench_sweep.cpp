@@ -9,11 +9,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "alloc/allocator.hpp"
 #include "alloc/coloring.hpp"
-#include "alloc/flow_graph.hpp"
+#include "alloc/incremental.hpp"
 #include "alloc/two_phase.hpp"
 #include "engine/engine.hpp"
 #include "report/table.hpp"
@@ -219,58 +221,82 @@ int main() {
             << " plain_ms=" << plain_ms << " deadline_ms=" << deadline_ms
             << " overhead=" << deadline_overhead << "\n";
 
-  // Warm-start resubmission: the same problem submitted repeatedly (the
-  // explore / design-sweep pattern) with the engine's warm-start cache
-  // on vs off. Warm resolves repair the previous optimal flow instead of
-  // solving from scratch; hits is how many resubmissions the cache
-  // actually served (forced-register instances carry lower bounds and
-  // never warm-start).
+  // Incremental repair: an editing client's stream — 8 edits of a
+  // 256-variable block, each shifting one lifetime a step later — solved
+  // by IncrementalAllocator (repaired from the previous optimum and
+  // certified) vs a cold certified allocate() per edit. The block has
+  // perfbench compile-large's shape (steps = vars/2, R = vars/8). Every
+  // edit's objective must agree exactly; repairs is how many edits a
+  // certified repair answered.
   {
-    // Prefer a problem whose flow graph is warm-startable (no lower
-    // bounds); fall back to the first one.
-    std::size_t pick = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (!alloc::build_flow_graph(batch[i], alloc::GraphStyle::kDensityRegions)
-               .graph.has_lower_bounds()) {
-        pick = i;
-        break;
-      }
+    workloads::RandomLifetimeOptions lopts;
+    lopts.num_vars = 256;
+    lopts.num_steps = lopts.num_vars / 2;
+    const int registers = lopts.num_vars / 8;
+    std::vector<lifetime::Lifetime> lts =
+        workloads::random_lifetimes(11, lopts);
+    for (std::size_t v = 0; v < lts.size(); ++v) {
+      lts[v].name = "v" + std::to_string(v);  // Matched by name.
     }
-    const std::vector<alloc::AllocationProblem> resubmits(8, batch[pick]);
-    std::int64_t warm_hits = 0;
-    const auto time_resubmit_ms = [&](bool warm_start) {
-      lera::engine::EngineOptions eopts;
-      eopts.threads = 1;
-      eopts.warm_start = warm_start;
-      const lera::engine::Engine engine(eopts);
-      double best = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto results = engine.allocate_batch(resubmits);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (rep == 0 || ms < best) best = ms;
-        if (results.size() != resubmits.size()) std::abort();
+    constexpr int kEdits = 8;
+    std::vector<alloc::AllocationProblem> stream;
+    for (int edit = 0; edit <= kEdits; ++edit) {
+      if (edit > 0) {
+        lifetime::Lifetime& lt =
+            lts[static_cast<std::size_t>(edit) * 37 % lts.size()];
+        if (lt.read_times.back() < lopts.num_steps) {
+          lt.write_time += 1;
+          for (int& r : lt.read_times) r += 1;
+        }
       }
-      if (warm_start) warm_hits = engine.stats().perf.warm_start_hits;
-      return best;
-    };
-    const double cold_resubmit_ms = time_resubmit_ms(false);
-    const double warm_resubmit_ms = time_resubmit_ms(true);
-    const double warm_speedup =
-        warm_resubmit_ms > 0 ? cold_resubmit_ms / warm_resubmit_ms : 0;
-    std::cout << "\n=== warm-start resubmission: " << resubmits.size()
-              << " identical solves, cache on vs off ===\n"
-              << "cold: " << report::Table::num(cold_resubmit_ms) << " ms\n"
-              << "warm: " << report::Table::num(warm_resubmit_ms) << " ms  ("
-              << report::Table::num(warm_speedup) << "x, " << warm_hits
-              << " cache hits)\n";
-    std::cout << "LERA_METRIC bench=sweep metric=warm_resubmission threads=1"
-              << " batch=" << resubmits.size()
-              << " cold_ms=" << cold_resubmit_ms
-              << " warm_ms=" << warm_resubmit_ms << " hits=" << warm_hits
-              << " speedup=" << warm_speedup << "\n";
+      stream.push_back(alloc::make_problem(
+          lts, lopts.num_steps, registers, energy::EnergyParams{},
+          energy::ActivityMatrix(lts.size())));
+    }
+    alloc::AllocatorOptions certified;
+    certified.certify = true;
+    double cold_ms = 0;
+    double repair_ms = 0;
+    std::int64_t repairs = 0;
+    for (int rep = 0; rep < 3; ++rep) {
+      alloc::IncrementalAllocator inc(certified);
+      inc.solve(stream.front());  // The baseline; not timed.
+      double cold = 0;
+      double repair = 0;
+      for (std::size_t i = 1; i < stream.size(); ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const alloc::AllocationResult r = inc.solve(stream[i]);
+        const auto t1 = std::chrono::steady_clock::now();
+        const alloc::AllocationResult c = alloc::allocate(stream[i], certified);
+        const auto t2 = std::chrono::steady_clock::now();
+        repair += std::chrono::duration<double, std::milli>(t1 - t0).count();
+        cold += std::chrono::duration<double, std::milli>(t2 - t1).count();
+        if (!r.feasible || !c.feasible || r.flow_cost != c.flow_cost) {
+          std::cerr << "incremental repair diverged from the cold solve at "
+                       "edit "
+                    << i << "\n";
+          std::abort();
+        }
+      }
+      if (rep == 0 || cold < cold_ms) cold_ms = cold;
+      if (rep == 0 || repair < repair_ms) repair_ms = repair;
+      repairs = inc.stats().repairs_succeeded;
+    }
+    cold_ms /= kEdits;
+    repair_ms /= kEdits;
+    const double repair_speedup = repair_ms > 0 ? cold_ms / repair_ms : 0;
+    std::cout << "\n=== incremental repair: " << kEdits
+              << " shifted-lifetime edits of a " << lopts.num_vars
+              << "-variable block ===\n"
+              << "cold:   " << report::Table::num(cold_ms) << " ms per edit\n"
+              << "repair: " << report::Table::num(repair_ms)
+              << " ms per edit  (" << report::Table::num(repair_speedup)
+              << "x, " << repairs << " certified repairs)\n";
+    std::cout << "LERA_METRIC bench=sweep metric=incremental_repair threads=1"
+              << " vars=" << lopts.num_vars << " edits=" << kEdits
+              << " cold_ms=" << cold_ms << " repair_ms=" << repair_ms
+              << " repairs=" << repairs << " speedup=" << repair_speedup
+              << "\n";
   }
   return 0;
 }

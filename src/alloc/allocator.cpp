@@ -72,8 +72,7 @@ Assignment assignment_from_flow(const AllocationProblem& p,
 
 AllocationResult allocate_with_spec(const AllocationProblem& p,
                                     const FlowGraphSpec& spec,
-                                    const AllocatorOptions& options,
-                                    std::vector<netflow::Flow>* arc_flow_out) {
+                                    const AllocatorOptions& options) {
   AllocationResult result;
   const netflow::FlowSolution sol = netflow::solve_st_flow_robust(
       spec.graph, spec.s, spec.t, p.num_registers, robust_options(options),
@@ -126,7 +125,6 @@ AllocationResult allocate_with_spec(const AllocationProblem& p,
   result.flow_cost = sol.cost;
   result.model_energy =
       spec.base_energy + options.quantizer.dequantize(sol.cost);
-  if (arc_flow_out != nullptr) *arc_flow_out = sol.arc_flow;
   finish_result(p, result);
   return result;
 }

@@ -116,21 +116,18 @@ void finish_result(const AllocationProblem& p, AllocationResult& result);
 /// unit of s->t flow traces one register's occupancy chain. \p arc_flow
 /// is indexed by ArcId of spec.graph and must be a feasible integral
 /// flow of value p.num_registers (anything else trips the chain walk's
-/// asserts). Exposed for the incremental-repair path; allocate() uses
-/// it internally.
+/// asserts). allocate() uses it internally.
 Assignment assignment_from_flow(const AllocationProblem& p,
                                 const FlowGraphSpec& spec,
                                 const std::vector<netflow::Flow>& arc_flow);
 
 /// The allocator's solve against a prebuilt flow graph (the spec's
-/// bypass capacity must be >= p.num_registers). When \p arc_flow_out is
-/// non-null and the flow path succeeds, it receives the optimal arc
-/// flows — the seed a warm-start baseline needs. Exposed for
-/// IncrementalAllocator; allocate() wraps it with problem validation
-/// and the degradation contract.
-AllocationResult allocate_with_spec(
-    const AllocationProblem& p, const FlowGraphSpec& spec,
-    const AllocatorOptions& options,
-    std::vector<netflow::Flow>* arc_flow_out = nullptr);
+/// bypass capacity must be >= p.num_registers). Exposed for
+/// IncrementalAllocator, which threads its warm-start seed in through
+/// options.solve.warm_cache; allocate() wraps it with problem
+/// validation and the degradation contract.
+AllocationResult allocate_with_spec(const AllocationProblem& p,
+                                    const FlowGraphSpec& spec,
+                                    const AllocatorOptions& options);
 
 }  // namespace lera::alloc

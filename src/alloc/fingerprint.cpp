@@ -44,11 +44,6 @@ struct Mix128 {
     absorb(0x9e3779b97f4a7c15ULL);
     return Fingerprint{hi, lo};
   }
-
-  std::uint64_t final64() {
-    const Fingerprint f = final128();
-    return f.hi ^ rotl(f.lo, 32);
-  }
 };
 
 /// Bit pattern of a double for exact (not tolerant) key comparison.
@@ -105,19 +100,18 @@ void absorb_params(Mix128& h, const energy::EnergyParams& params) {
 
 /// Hashes the problem in the variable/segment order given by
 /// \p var_at (canonical position -> declaration index) and \p seg_at.
-/// \p var_pos is the inverse of var_at. \p structural_only drops the
-/// energy/activity sections (costs do not change the flow topology).
+/// \p var_pos is the inverse of var_at.
 void absorb_problem(Mix128& h, const AllocationProblem& p,
                     const std::vector<int>& var_at,
                     const std::vector<int>& var_pos,
-                    const std::vector<int>& seg_at, bool structural_only) {
+                    const std::vector<int>& seg_at) {
   h.absorb(0x4c455241u);  // "LERA", format version guard.
   h.absorb(3);
   h.absorb_i64(p.num_steps);
   h.absorb_i64(p.num_registers);
   h.absorb_i64(p.access.period);
   h.absorb_i64(p.access.phase);
-  if (!structural_only) absorb_params(h, p.params);
+  absorb_params(h, p.params);
 
   h.absorb_i64(static_cast<std::int64_t>(p.lifetimes.size()));
   for (const int v : var_at) {
@@ -129,7 +123,7 @@ void absorb_problem(Mix128& h, const AllocationProblem& p,
     for (const int t : lt.read_times) h.absorb_i64(t);
   }
 
-  if (!structural_only && p.activity.size() == p.lifetimes.size()) {
+  if (p.activity.size() == p.lifetimes.size()) {
     const std::size_t n = p.lifetimes.size();
     if (p.activity.is_uniform()) {
       // Every pair is still the constructor default (the overwhelmingly
@@ -245,26 +239,9 @@ FingerprintResult fingerprint_problem(const AllocationProblem& p) {
                      return sa.index < sb.index;
                    });
 
-  std::vector<int> identity_vars(nvars);
-  std::iota(identity_vars.begin(), identity_vars.end(), 0);
-  std::vector<int> identity_segs(nsegs);
-  std::iota(identity_segs.begin(), identity_segs.end(), 0);
-
   Mix128 canon;
-  absorb_problem(canon, p, out.var_order, var_pos, out.seg_order,
-                 /*structural_only=*/false);
+  absorb_problem(canon, p, out.var_order, var_pos, out.seg_order);
   out.canonical = canon.final128();
-
-  Mix128 exact;
-  absorb_problem(exact, p, identity_vars, identity_vars, identity_segs,
-                 /*structural_only=*/false);
-  out.exact = exact.final64();
-
-  Mix128 structural;
-  absorb_problem(structural, p, identity_vars, identity_vars, identity_segs,
-                 /*structural_only=*/true);
-  out.structural = structural.final64();
-
   return out;
 }
 

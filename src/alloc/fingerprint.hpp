@@ -18,19 +18,8 @@
 /// permutations let a cached assignment be remapped onto the new
 /// declaration order in O(segments).
 ///
-/// Three hashes are computed in one pass:
-///  * `canonical` — 128 bits over the canonical form. The cache key.
-///  * `exact`     — 64 bits over the declaration-order form. Two
-///                  problems with equal `exact` hashes are byte-level
-///                  re-submissions (same order, same costs); used to
-///                  distinguish exact repeats from permuted repeats.
-///  * `structural` — 64 bits over the declaration-order *topology* only
-///                  (steps, registers, access model, lifetimes,
-///                  segments — no energies, no activities). Two
-///                  problems with equal `structural` hashes build
-///                  flow graphs with identical nodes/arcs/supplies, so
-///                  this is the warm-start pool key: cost-jittered
-///                  resubmissions of one kernel share an entry.
+/// The `canonical` hash is 128 bits over the canonical form: the cache
+/// key.
 ///
 /// Everything that can change the optimal allocation is hashed:
 /// num_steps, num_registers, the access model, every EnergyParams field
@@ -65,12 +54,10 @@ struct Fingerprint {
   std::string hex() const;
 };
 
-/// The full fingerprinting outcome: the three hashes plus the canonical
+/// The fingerprinting outcome: the canonical hash plus the canonical
 /// permutations needed to remap cached answers.
 struct FingerprintResult {
-  Fingerprint canonical;        ///< Permutation-invariant cache key.
-  std::uint64_t exact = 0;      ///< Declaration-order secondary hash.
-  std::uint64_t structural = 0; ///< Topology-only warm-pool key.
+  Fingerprint canonical;  ///< Permutation-invariant cache key.
 
   /// var_order[c] = declaration index of the variable at canonical
   /// position c. A permutation of 0..num_vars-1.
@@ -80,8 +67,8 @@ struct FingerprintResult {
   std::vector<int> seg_order;
 };
 
-/// Computes all three hashes and the canonical permutations in one
-/// pass. Pure function; O(V log V + S + V^2) for the activity section.
+/// Computes the canonical hash and permutations. Pure function;
+/// O(V log V + S + V^2) for the activity section.
 FingerprintResult fingerprint_problem(const AllocationProblem& p);
 
 }  // namespace lera::alloc

@@ -4,8 +4,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "netflow/validate.hpp"
-
 namespace lera::alloc {
 
 namespace {
@@ -20,8 +18,10 @@ std::uint64_t arc_key(ArcKind kind, int from_seg, int to_seg) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(to_seg + 1));
 }
 
-}  // namespace
-
+/// Derives the variable correspondence new -> old between two problems:
+/// by unique nonempty name when both sides have them, positionally when
+/// the counts match, empty (no correspondence) otherwise. new_to_old[v]
+/// is the old variable index or -1.
 std::vector<int> match_variables(const AllocationProblem& old_p,
                                  const AllocationProblem& new_p) {
   const std::size_t n_old = old_p.lifetimes.size();
@@ -69,6 +69,8 @@ std::vector<int> match_variables(const AllocationProblem& old_p,
   return {};
 }
 
+/// Builds the arc/node correspondence between \p new_spec and
+/// \p old_spec from semantic arc keys, given the variable match.
 netflow::WarmCorrespondence derive_correspondence(
     const AllocationProblem& old_p, const FlowGraphSpec& old_spec,
     const AllocationProblem& new_p, const FlowGraphSpec& new_spec,
@@ -138,119 +140,70 @@ netflow::WarmCorrespondence derive_correspondence(
   return map;
 }
 
+}  // namespace
+
 IncrementalAllocator::IncrementalAllocator(AllocatorOptions options,
                                            double min_mapped_fraction)
     : options_(std::move(options)),
       min_mapped_fraction_(min_mapped_fraction) {}
 
-void IncrementalAllocator::reset() {
-  has_baseline_ = false;
-  warm_.clear();
-}
+void IncrementalAllocator::reset() { warm_.clear(); }
 
-void IncrementalAllocator::adopt_baseline(
-    const AllocationProblem& p, FlowGraphSpec spec,
-    const std::vector<netflow::Flow>& arc_flow) {
-  // The flow was solved on the supply-adjusted copy; store against the
-  // same shape so the potentials are label-corrected once, here.
-  netflow::Graph st = spec.graph;
-  st.set_supply(spec.s, p.num_registers);
-  st.set_supply(spec.t, -p.num_registers);
-  if (warm_.store(st, arc_flow) != netflow::WarmStoreOutcome::kStored) {
-    return;  // Keep the previous baseline (if any).
-  }
-  base_problem_ = p;
-  base_spec_ = std::move(spec);
-  has_baseline_ = true;
-}
-
-bool IncrementalAllocator::try_repair(const AllocationProblem& p,
-                                      const FlowGraphSpec& spec,
-                                      AllocationResult& out,
-                                      std::vector<netflow::Flow>& flow_out) {
-  if (!has_baseline_ || !warm_.has_entry() ||
-      spec.graph.has_lower_bounds() ||
+netflow::WarmStartCache IncrementalAllocator::seed(
+    const AllocationProblem& p, const FlowGraphSpec& spec) const {
+  if (!warm_.has_entry() || spec.graph.has_lower_bounds() ||
       p.num_registers != base_problem_.num_registers) {
-    return false;
+    return {};
   }
   const std::vector<int> var_map = match_variables(base_problem_, p);
-  if (var_map.empty() && !p.lifetimes.empty()) return false;
+  if (var_map.empty() && !p.lifetimes.empty()) return {};
   const netflow::WarmCorrespondence map =
       derive_correspondence(base_problem_, base_spec_, p, spec, var_map);
-  if (map.arc_from.empty()) return false;
-  const double mapped =
-      static_cast<double>(map.mapped_arcs()) /
-      static_cast<double>(map.arc_from.empty() ? 1 : map.arc_from.size());
-  if (mapped < min_mapped_fraction_) return false;
-
-  ++stats_.repairs_attempted;
+  if (map.arc_from.empty()) return {};
+  const double mapped = static_cast<double>(map.mapped_arcs()) /
+                        static_cast<double>(map.arc_from.size());
+  if (mapped < min_mapped_fraction_) return {};
+  // The seed must match the graph solve_robust sees: spec.graph with
+  // +/-R at s/t, as solve_st_flow_robust builds it.
   netflow::Graph st = spec.graph;
-  st.set_supply(spec.s, p.num_registers);
-  st.set_supply(spec.t, -p.num_registers);
-
-  netflow::SolveGuard guard;
-  guard.max_iterations = options_.solve.max_iterations_per_solver;
-  guard.max_seconds = options_.solve.max_seconds_total;
-  guard.cancel = options_.solve.cancel;
-  guard.start();
-  const netflow::FlowSolution sol =
-      netflow::resolve_warm_mapped(st, warm_, map, &guard, &workspace_);
-  if (!sol.optimal()) return false;
-
-  // Always certified: feasibility, exact cost, and the residual
-  // negative-cycle optimality certificate — a repair that cannot prove
-  // itself falls back to cold instead of being served.
-  const netflow::CheckResult feasible = netflow::check_feasible(st, sol.arc_flow);
-  netflow::Cost cost = 0;
-  if (!feasible.ok || !netflow::checked_flow_cost(st, sol.arc_flow, cost) ||
-      cost != sol.cost || !netflow::certify_optimal(st, sol.arc_flow)) {
-    return false;
-  }
-
-  AllocationResult result;
-  result.assignment = assignment_from_flow(p, spec, sol.arc_flow);
-  if (!validate_assignment(p, result.assignment).empty()) return false;
-  result.feasible = true;
-  result.flow_cost = sol.cost;
-  result.model_energy =
-      spec.base_energy + options_.quantizer.dequantize(sol.cost);
-  finish_result(p, result);
-  result.solve_diagnostics.solver_used =
-      netflow::SolverKind::kSuccessiveShortestPaths;
-  result.solve_diagnostics.warm_start_attempted = true;
-  result.solve_diagnostics.warm_start_hit = true;
-  result.solve_diagnostics.certification =
-      netflow::CertificationVerdict::kPassed;
-  result.solve_diagnostics.iterations = guard.iterations;
-  result.solve_diagnostics.message = "optimal via incremental repair";
-  out = std::move(result);
-  flow_out = sol.arc_flow;
-  return true;
+  st.add_supply(spec.s, p.num_registers);
+  st.add_supply(spec.t, -p.num_registers);
+  return warm_.remapped(st, map);
 }
 
 AllocationResult IncrementalAllocator::solve(const AllocationProblem& p) {
-  AllocationResult result;
   const std::string issues = p.verify();
   if (!issues.empty()) {
-    result.message = "invalid problem: " + issues;
-    return result;
+    AllocationResult invalid;
+    invalid.message = "invalid problem: " + issues;
+    return invalid;
   }
   FlowGraphSpec spec =
       build_flow_graph(p, options_.style, options_.quantizer);
 
-  std::vector<netflow::Flow> repaired_flow;
-  if (try_repair(p, spec, result, repaired_flow)) {
-    ++stats_.repairs_succeeded;
-    adopt_baseline(p, std::move(spec), repaired_flow);
-    return result;
-  }
-  if (has_baseline_) ++stats_.repair_fallbacks;
+  netflow::WarmStartCache warm = seed(p, spec);
 
-  ++stats_.cold_solves;
-  std::vector<netflow::Flow> arc_flow;
-  result = allocate_with_spec(p, spec, options_, &arc_flow);
-  if (result.feasible && !result.degraded && !arc_flow.empty()) {
-    adopt_baseline(p, std::move(spec), arc_flow);
+  // Repairs are always certified: a repair that cannot prove itself
+  // falls back to the cold chain inside solve_robust.
+  AllocatorOptions options = options_;
+  options.certify = true;
+  options.solve.workspace = &workspace_;
+  options.solve.warm_cache = &warm;
+  AllocationResult result = allocate_with_spec(p, spec, options);
+
+  const netflow::SolveDiagnostics& d = result.solve_diagnostics;
+  if (d.warm_start_attempted) {
+    ++stats_.repairs_attempted;
+    ++(d.warm_start_hit ? stats_.repairs_succeeded : stats_.repair_fallbacks);
+  }
+  if (!d.warm_start_hit) ++stats_.cold_solves;
+  // solve_robust stored the certified flow (warm or cold) into `warm`;
+  // a refused store keeps the previous baseline.
+  if (result.feasible && d.warm_store_attempted &&
+      d.warm_store == netflow::WarmStoreOutcome::kStored) {
+    warm_ = std::move(warm);
+    base_problem_ = p;
+    base_spec_ = std::move(spec);
   }
   return result;
 }

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "alloc/allocator.hpp"
-#include "alloc/fingerprint.hpp"
 #include "netflow/warm.hpp"
 
 /// \file incremental.hpp
@@ -17,24 +15,28 @@
 ///  1. builds the new flow graph and derives an arc/node correspondence
 ///     to the baseline's graph from *semantic* keys (ArcKind + endpoint
 ///     segments, with variables matched by name), never raw indices;
-///  2. imposes the baseline's flow over the corresponding arcs (removed
-///     arcs are simply not imposed; added arcs start empty) and repairs
-///     the imbalance with the warm-start saturate-and-drain machinery
-///     (netflow::resolve_warm_mapped);
-///  3. certifies the repaired flow against the independent optimality
-///     checks (validate.hpp) — ALWAYS, regardless of options: a repair
-///     that cannot prove optimality falls back to a cold solve, so an
-///     incremental answer is never worse than a cold one, only faster.
+///  2. carries the baseline's flow and potentials onto the new graph
+///     (netflow::WarmStartCache::remapped: removed arcs are dropped,
+///     added arcs start empty) and hands that seed to the allocator's
+///     robust solve as its warm-start cache;
+///  3. lets solve_robust do the rest exactly as for any warm solve: the
+///     saturate-and-drain repair (netflow::resolve_warm), certification
+///     against the independent optimality checks (validate.hpp) —
+///     ALWAYS, since the allocator forces `certify` on — and the cold
+///     chain when the repair cannot prove optimality, so an incremental
+///     answer is never worse than a cold one, only faster.
 ///
 /// The test suite's 100-seed differential sweep asserts the repaired
 /// objective is bit-equal to the cold solve's on every edit.
 
 namespace lera::alloc {
 
-/// Counters of one IncrementalAllocator's lifetime.
+/// Counters of one IncrementalAllocator's lifetime, read off each
+/// solve's SolveDiagnostics. repairs_succeeded + repair_fallbacks ==
+/// repairs_attempted always holds.
 struct IncrementalStats {
-  std::int64_t cold_solves = 0;        ///< Full solves (first + fallbacks).
-  std::int64_t repairs_attempted = 0;  ///< Warm-mapped resolves started.
+  std::int64_t cold_solves = 0;        ///< Solves no repair answered.
+  std::int64_t repairs_attempted = 0;  ///< Warm resolves from the baseline.
   std::int64_t repairs_succeeded = 0;  ///< Certified-optimal repairs served.
   std::int64_t repair_fallbacks = 0;   ///< Attempts that fell back to cold.
 };
@@ -52,7 +54,8 @@ class IncrementalAllocator {
                                 double min_mapped_fraction = 0.5);
 
   /// Solves \p p — incrementally when a usable baseline exists, cold
-  /// otherwise — and promotes the answer to the new baseline.
+  /// otherwise — and promotes a stored answer to the new baseline. The
+  /// result carries the robust solve's diagnostics like any allocate().
   AllocationResult solve(const AllocationProblem& p);
 
   const IncrementalStats& stats() const { return stats_; }
@@ -61,38 +64,22 @@ class IncrementalAllocator {
   void reset();
 
  private:
-  bool try_repair(const AllocationProblem& p, const FlowGraphSpec& spec,
-                  AllocationResult& out,
-                  std::vector<netflow::Flow>& flow_out);
-  void adopt_baseline(const AllocationProblem& p, FlowGraphSpec spec,
-                      const std::vector<netflow::Flow>& arc_flow);
+  /// The baseline carried onto \p p's flow graph when the gates pass
+  /// (same R, variables matched, enough arcs mapped); an empty cache —
+  /// a cold solve — otherwise.
+  netflow::WarmStartCache seed(const AllocationProblem& p,
+                               const FlowGraphSpec& spec) const;
 
   AllocatorOptions options_;
   double min_mapped_fraction_;
   IncrementalStats stats_;
 
-  bool has_baseline_ = false;
   AllocationProblem base_problem_;
   FlowGraphSpec base_spec_;
-  /// Baseline flow + optimality potentials, stored against the
-  /// supply-adjusted (F = R at s/t) copy of base_spec_.graph.
+  /// Baseline flow + optimality potentials, stored by solve_robust
+  /// against the supply-adjusted (F = R at s/t) copy of base_spec_.graph.
   netflow::WarmStartCache warm_;
   netflow::SolverWorkspace workspace_;
 };
-
-/// Derives the variable correspondence new -> old between two problems:
-/// by unique nonempty name when both sides have them, positionally when
-/// the counts match, empty (no correspondence) otherwise. new_to_old[v]
-/// is the old variable index or -1. Exposed for tests.
-std::vector<int> match_variables(const AllocationProblem& old_p,
-                                 const AllocationProblem& new_p);
-
-/// Builds the arc/node correspondence between \p new_spec and
-/// \p old_spec from semantic arc keys, given the variable match.
-/// Exposed for tests.
-netflow::WarmCorrespondence derive_correspondence(
-    const AllocationProblem& old_p, const FlowGraphSpec& old_spec,
-    const AllocationProblem& new_p, const FlowGraphSpec& new_spec,
-    const std::vector<int>& var_new_to_old);
 
 }  // namespace lera::alloc

@@ -27,8 +27,7 @@ std::int64_t estimate_result_bytes(const alloc::AllocationResult& r) {
     bytes += static_cast<std::int64_t>(a.note.capacity());
   }
   bytes += static_cast<std::int64_t>(d.message.capacity() +
-                                     d.auto_features.capacity() +
-                                     d.warm_store_note.capacity());
+                                     d.auto_features.capacity());
   bytes += static_cast<std::int64_t>(r.audit.findings.capacity() * 64);
   return bytes;
 }
@@ -37,7 +36,6 @@ std::int64_t estimate_result_bytes(const alloc::AllocationResult& r) {
 
 struct AllocCache::Entry {
   alloc::Fingerprint key;
-  std::uint64_t exact = 0;
   /// Per canonical segment position: register index or
   /// Assignment::kMemory. The assignment in any declaration order is
   /// canon_loc composed with that instance's seg_order.
@@ -168,7 +166,6 @@ void AllocCache::insert(const alloc::FingerprintResult& fp,
 
   Entry e;
   e.key = fp.canonical;
-  e.exact = fp.exact;
   e.canon_loc.resize(fp.seg_order.size());
   for (std::size_t c = 0; c < fp.seg_order.size(); ++c) {
     e.canon_loc[c] =

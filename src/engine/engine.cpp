@@ -28,38 +28,23 @@ struct Supervision {
   netflow::MemoryBudget memory_budget;
 };
 
-/// Checks a SolveContext out of the bank for one allocator call and
-/// threads it into the solve options; returns it on destruction. With a
-/// null bank (both knobs off) this is a no-op and the solve path is
-/// untouched. When warm starts are on and the problem is known, the
-/// warm cache is picked from the context's keyed pool by the problem's
-/// structural fingerprint, so each flow topology warms independently.
+/// Checks a workspace out of the bank for one allocator call and
+/// threads it into the solve options; returns it on destruction.
 class ContextLease {
  public:
-  ContextLease(detail::ContextBank* bank, const EngineOptions& o,
-               alloc::AllocatorOptions& a,
-               const alloc::AllocationProblem* p = nullptr)
-      : bank_(bank) {
-    if (bank_ == nullptr) return;
-    ctx_ = bank_->acquire();
-    if (o.reuse_workspaces) a.solve.workspace = &ctx_->workspace;
-    if (o.warm_start) {
-      const std::uint64_t key =
-          p != nullptr ? alloc::fingerprint_problem(*p).structural : 0;
-      a.solve.warm_cache = ctx_->warm_pool.acquire(key);
-    }
+  ContextLease(detail::ContextBank& bank, alloc::AllocatorOptions& a)
+      : bank_(bank), ws_(bank.acquire()) {
+    a.solve.workspace = ws_.get();
   }
 
-  ~ContextLease() {
-    if (bank_ != nullptr) bank_->release(std::move(ctx_));
-  }
+  ~ContextLease() { bank_.release(std::move(ws_)); }
 
   ContextLease(const ContextLease&) = delete;
   ContextLease& operator=(const ContextLease&) = delete;
 
  private:
-  detail::ContextBank* bank_;
-  std::unique_ptr<detail::SolveContext> ctx_;
+  detail::ContextBank& bank_;
+  std::unique_ptr<netflow::SolverWorkspace> ws_;
 };
 
 /// Arms the run-wide deadline for one entry-point call.
@@ -208,7 +193,7 @@ TaskReport solve_task(const ir::Task& task, const EngineOptions& options,
       options.degrade_on_solver_failure;
   apply_supervision(alloc_options, options, deadline, sup.cancel,
                     sup.breaker, sup.memory_budget);
-  const ContextLease lease(sup.bank, options, alloc_options, &p);
+  const ContextLease lease(*sup.bank, alloc_options);
   if (sup.stats != nullptr) {
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
   }
@@ -268,7 +253,7 @@ ScheduleCandidate evaluate_candidate(const ir::BasicBlock& bb,
   apply_supervision(alloc_options, options,
                     request_deadline(options, sup.run_deadline), sup.cancel,
                     sup.breaker, sup.memory_budget);
-  const ContextLease lease(sup.bank, options, alloc_options, &p);
+  const ContextLease lease(*sup.bank, alloc_options);
   if (sup.stats != nullptr) {
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
   }
@@ -291,9 +276,7 @@ Engine::Engine(EngineOptions options)
                          options_.breaker_threshold)
                    : nullptr),
       stats_core_(std::make_shared<detail::EngineStatsCore>()),
-      bank_(options_.reuse_workspaces || options_.warm_start
-                ? std::make_shared<detail::ContextBank>()
-                : nullptr),
+      bank_(std::make_shared<detail::ContextBank>()),
       cache_(options_.cache_entries > 0
                  ? std::make_shared<AllocCache>(
                        AllocCacheOptions{options_.cache_entries,
@@ -303,7 +286,7 @@ Engine::Engine(EngineOptions options)
                  : nullptr),
       pool_(std::make_unique<ThreadPool>(options_.threads)) {
   // Pooled (idle) workspaces count against the engine-wide budget.
-  if (bank_ != nullptr) bank_->set_budget(memory_budget_);
+  bank_->set_budget(memory_budget_);
 }
 
 Engine::~Engine() {
@@ -489,8 +472,7 @@ std::vector<alloc::AllocationResult> Engine::allocate_batch(
     apply_supervision(alloc_options, options_,
                       request_deadline(options_, sup.run_deadline),
                       sup.cancel, sup.breaker, sup.memory_budget);
-    const ContextLease lease(sup.bank, options_, alloc_options,
-                             &problems[i]);
+    const ContextLease lease(*sup.bank, alloc_options);
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
     results[i] = alloc::allocate(problems[i], alloc_options);
     record_solve(sup.stats, results[i]);
@@ -593,8 +575,7 @@ std::size_t Session::submit(alloc::AllocationProblem problem,
           alloc::AllocatorOptions alloc_options = options.alloc;
           apply_supervision(alloc_options, options, deadline, token,
                             breaker.get(), memory_budget);
-          const ContextLease lease(bank.get(), options, alloc_options,
-                                   &problem);
+          const ContextLease lease(*bank, alloc_options);
           stats->started.fetch_add(1, std::memory_order_relaxed);
           *slot = alloc::allocate(problem, alloc_options);
           record_solve(stats.get(), *slot);

@@ -19,7 +19,6 @@
 #include "ir/task_graph.hpp"
 #include "netflow/cancel.hpp"
 #include "netflow/membudget.hpp"
-#include "netflow/warm.hpp"
 #include "netflow/workspace.hpp"
 #include "sched/schedule.hpp"
 
@@ -144,22 +143,6 @@ struct EngineOptions {
   /// nothing is ever refused).
   std::int64_t max_bytes_total = 0;
 
-  // --- Solver workspaces and warm starts --------------------------------
-  /// Lease every solve a reusable netflow::SolverWorkspace from the
-  /// engine's context bank, so repeated solves stop paying per-solve
-  /// allocation. Bit-identical to running without one (a workspace only
-  /// changes allocation behavior), so it defaults on.
-  bool reuse_workspaces = true;
-  /// Also lease each solve a netflow::WarmStartCache and let same-
-  /// topology re-submissions resolve from the previous optimal flow.
-  /// Warm answers are always re-certified, but they may pick a
-  /// *different* equal-cost optimum than a cold solve, so this is
-  /// opt-in: the default engine stays bit-identical across runs and
-  /// thread counts. Warm caches are pooled per context and keyed by the
-  /// problem's structural fingerprint, so alternating topologies in one
-  /// stream no longer thrash a single cache.
-  bool warm_start = false;
-
   // --- Allocation cache (fingerprint -> certified result) ---------------
   /// Entry cap of the engine's AllocCache (0 = cache off; the default,
   /// which is bit-identical to the pre-cache engine). When on,
@@ -241,61 +224,54 @@ struct EngineStatsCore {
   netflow::PerfCounters perf;
 };
 
-/// A leased per-solve context: one solver workspace plus a small pool
-/// of warm-start caches keyed by structural fingerprint (so a stream
-/// that alternates between topologies keeps a warm flow for each
-/// instead of thrashing one cache). Belongs to exactly one in-flight
-/// solve at a time; the bank below enforces that by handing out
-/// exclusive ownership.
-struct SolveContext {
-  netflow::SolverWorkspace workspace;
-  netflow::WarmStartPool warm_pool{8};
-};
-
-/// Mutex-guarded freelist of SolveContexts, shared (by shared_ptr) with
-/// queued Session jobs. The pool has no thread identity to key on, so
-/// solves check a context out for their duration instead: at most
-/// pool-width contexts ever exist, each used strictly sequentially —
-/// which is exactly the SolverWorkspace ownership contract.
+/// Mutex-guarded freelist of netflow::SolverWorkspaces, shared (by
+/// shared_ptr) with queued Session jobs. Every solve leases one, so
+/// repeated solves stop paying per-solve allocation; a workspace only
+/// changes allocation behavior, never results. The pool has no thread
+/// identity to key on, so solves check a workspace out for their
+/// duration instead: at most pool-width workspaces ever exist, each used
+/// strictly sequentially — which is exactly the SolverWorkspace
+/// ownership contract.
 ///
-/// Pooled (idle) contexts retain their grown scratch arenas, so their
+/// Pooled (idle) workspaces retain their grown scratch arenas, so their
 /// measured footprint is charged against the engine-wide memory budget
 /// while they sit in the freelist: retained bytes show up in
-/// EngineStats and count against max_bytes_total. A context the budget
-/// refuses to pool is dropped (freed) instead — under memory pressure
-/// the bank sheds capacity rather than busting the cap.
+/// EngineStats and count against max_bytes_total. A workspace the
+/// budget refuses to pool is dropped (freed) instead — under memory
+/// pressure the bank sheds capacity rather than busting the cap.
 class ContextBank {
  public:
-  /// Installs the engine-wide budget idle contexts are charged against.
-  /// Call before the first release(); an inert budget tracks nothing.
+  /// Installs the engine-wide budget idle workspaces are charged
+  /// against. Call before the first release(); an inert budget tracks
+  /// nothing.
   void set_budget(netflow::MemoryBudget budget) {
     std::lock_guard<std::mutex> lock(mutex_);
     budget_ = std::move(budget);
   }
 
-  std::unique_ptr<SolveContext> acquire() {
+  std::unique_ptr<netflow::SolverWorkspace> acquire() {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (free_.empty()) return std::make_unique<SolveContext>();
-    std::unique_ptr<SolveContext> ctx = std::move(free_.back());
+    if (free_.empty()) return std::make_unique<netflow::SolverWorkspace>();
+    std::unique_ptr<netflow::SolverWorkspace> ws = std::move(free_.back());
     free_.pop_back();
     budget_.release(charged_.back());
     charged_.pop_back();
-    return ctx;
+    return ws;
   }
 
-  void release(std::unique_ptr<SolveContext> ctx) {
-    if (ctx == nullptr) return;
-    const std::int64_t bytes = ctx->workspace.footprint_bytes();
+  void release(std::unique_ptr<netflow::SolverWorkspace> ws) {
+    if (ws == nullptr) return;
+    const std::int64_t bytes = ws->footprint_bytes();
     std::lock_guard<std::mutex> lock(mutex_);
     if (!budget_.try_charge(bytes)) return;  // Shed: free, don't pool.
-    free_.push_back(std::move(ctx));
+    free_.push_back(std::move(ws));
     charged_.push_back(bytes);
   }
 
  private:
   std::mutex mutex_;
   netflow::MemoryBudget budget_;
-  std::vector<std::unique_ptr<SolveContext>> free_;
+  std::vector<std::unique_ptr<netflow::SolverWorkspace>> free_;
   /// Bytes charged for free_[i]; kept in lockstep with free_.
   std::vector<std::int64_t> charged_;
 };
@@ -517,8 +493,8 @@ class Engine {
   /// Session jobs so it outlives any one handle.
   std::shared_ptr<netflow::CircuitBreaker> breaker_;
   std::shared_ptr<detail::EngineStatsCore> stats_core_;
-  /// Non-null when reuse_workspaces or warm_start is set; shared with
-  /// queued Session jobs like the breaker and stats core.
+  /// Workspace freelist; shared with queued Session jobs like the
+  /// breaker and stats core.
   std::shared_ptr<detail::ContextBank> bank_;
   /// Non-null when cache_entries > 0; shared with queued Session jobs.
   /// Entry bytes are charged against a child of memory_budget_.

@@ -93,26 +93,28 @@ InstanceReport validate_instance(const Graph& g) {
   bool worst_case_overflow = false;
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
     const Arc& arc = g.arc(a);
-    const std::string label = "arc " + std::to_string(a);
+    // Built only when a finding is reported: every robust solve runs
+    // this loop, and almost every instance is clean.
+    const auto label = [a]() { return "arc " + std::to_string(a); };
     if (arc.tail < 0 || arc.tail >= g.num_nodes() || arc.head < 0 ||
         arc.head >= g.num_nodes()) {
-      error(label + " has an endpoint outside the node range");
+      error(label() + " has an endpoint outside the node range");
       continue;
     }
     if (arc.lower < 0) {
-      error(label + " has negative lower bound " +
+      error(label() + " has negative lower bound " +
             std::to_string(arc.lower));
     }
     if (arc.lower > arc.upper) {
-      error(label + " has lower bound " + std::to_string(arc.lower) +
+      error(label() + " has lower bound " + std::to_string(arc.lower) +
             " above capacity " + std::to_string(arc.upper));
     }
     if (arc.upper > kInfFlow) {
-      error(label + " capacity " + std::to_string(arc.upper) +
+      error(label() + " capacity " + std::to_string(arc.upper) +
             " exceeds the safe magnitude kInfFlow");
     }
     if (arc.cost > kInfCost || arc.cost < -kInfCost) {
-      error(label + " cost " + std::to_string(arc.cost) +
+      error(label() + " cost " + std::to_string(arc.cost) +
             " exceeds the overflow-safe magnitude kInfCost");
     }
     // Overflow-checked worst-case objective magnitude |cost| * capacity.
@@ -326,6 +328,17 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
     return charge;
   };
 
+  // Certified optima, warm or cold, refresh the warm-start cache; a
+  // refused store keeps the previous entry and is counted.
+  auto refresh_warm_cache = [&](const FlowSolution& sol) {
+    if (options.warm_cache == nullptr) return;
+    diag.warm_store_attempted = true;
+    diag.warm_store = options.warm_cache->store(g, sol.arc_flow);
+    if (diag.warm_store != WarmStoreOutcome::kStored) {
+      ++ws->counters.warm_store_rejects;
+    }
+  };
+
   // Warm start: when the cache holds a prior optimal flow for this very
   // topology, repair it for the new costs/capacities instead of solving
   // cold. The warm answer is always certified (at least kFeasible) so a
@@ -387,13 +400,7 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
           diag.warm_start_hit = true;
           ++ws->counters.warm_start_hits;
           diag.message = "optimal via warm-start resolve";
-          diag.warm_store_attempted = true;
-          diag.warm_store = options.warm_cache->store(g, sol.arc_flow);
-          if (diag.warm_store != WarmStoreOutcome::kStored) {
-            ++ws->counters.warm_store_rejects;
-            diag.warm_store_note =
-                "warm-store rejected: " + to_string(diag.warm_store);
-          }
+          refresh_warm_cache(sol);
           return finish(sol);
         }
         attempt.note = "warm-start rejected: " + why;
@@ -512,15 +519,7 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
             if (options.breaker != nullptr) {
               options.breaker->record_success(kind);
             }
-            if (options.warm_cache != nullptr) {
-              diag.warm_store_attempted = true;
-              diag.warm_store = options.warm_cache->store(g, sol.arc_flow);
-              if (diag.warm_store != WarmStoreOutcome::kStored) {
-                ++ws->counters.warm_store_rejects;
-                diag.warm_store_note =
-                    "warm-store rejected: " + to_string(diag.warm_store);
-              }
-            }
+            refresh_warm_cache(sol);
             return finish(sol);
           }
           attempt.note = "certification failed: " + why;

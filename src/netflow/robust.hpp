@@ -241,8 +241,6 @@ struct SolveDiagnostics {
   /// ineffectiveness used to be silent; now it is counted
   /// (PerfCounters::warm_store_rejects) and noted here.
   WarmStoreOutcome warm_store = WarmStoreOutcome::kStored;
-  /// Human-readable note when the store was rejected ("" when stored).
-  std::string warm_store_note;
   /// The chain contained SolverKind::kAuto and the shape-based selector
   /// expanded it.
   bool auto_selected = false;

@@ -83,6 +83,13 @@ WarmStoreOutcome WarmStartCache::store(const Graph& g,
     return WarmStoreOutcome::kNotOptimal;  // Keep the previous entry.
   }
   pi_ = std::move(pi);
+  key_to(g);
+  flow_ = flow;
+  valid_ = true;
+  return WarmStoreOutcome::kStored;
+}
+
+void WarmStartCache::key_to(const Graph& g) {
   tails_.resize(static_cast<std::size_t>(g.num_arcs()));
   heads_.resize(static_cast<std::size_t>(g.num_arcs()));
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
@@ -93,9 +100,41 @@ WarmStoreOutcome WarmStartCache::store(const Graph& g,
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     supplies_[static_cast<std::size_t>(v)] = g.supply(v);
   }
-  flow_ = flow;
-  valid_ = true;
-  return WarmStoreOutcome::kStored;
+}
+
+std::size_t WarmCorrespondence::mapped_arcs() const {
+  std::size_t n = 0;
+  for (const int a : arc_from) n += a >= 0 ? 1 : 0;
+  return n;
+}
+
+WarmStartCache WarmStartCache::remapped(const Graph& g,
+                                        const WarmCorrespondence& map) const {
+  WarmStartCache out;
+  if (!valid_ || g.has_lower_bounds() ||
+      map.arc_from.size() != static_cast<std::size_t>(g.num_arcs()) ||
+      map.node_from.size() != static_cast<std::size_t>(g.num_nodes())) {
+    return out;
+  }
+  // Removed arcs are simply not carried over (their endpoints pick up
+  // excess/deficit the drain repairs); added arcs and nodes start at 0.
+  out.flow_.assign(map.arc_from.size(), 0);
+  for (std::size_t a = 0; a < map.arc_from.size(); ++a) {
+    const int from = map.arc_from[a];
+    if (from >= 0 && static_cast<std::size_t>(from) < flow_.size()) {
+      out.flow_[a] = flow_[static_cast<std::size_t>(from)];
+    }
+  }
+  out.pi_.assign(map.node_from.size(), 0);
+  for (std::size_t v = 0; v < map.node_from.size(); ++v) {
+    const int from = map.node_from[v];
+    if (from >= 0 && static_cast<std::size_t>(from) < pi_.size()) {
+      out.pi_[v] = pi_[static_cast<std::size_t>(from)];
+    }
+  }
+  out.key_to(g);
+  out.valid_ = true;
+  return out;
 }
 
 void WarmStartCache::clear() {
@@ -189,126 +228,6 @@ FlowSolution resolve_warm(const Graph& g, const WarmStartCache& cache,
     sol.cost += g.arc(a).cost * sol.arc_flow[static_cast<std::size_t>(a)];
   }
   return sol;
-}
-
-std::size_t WarmCorrespondence::mapped_arcs() const {
-  std::size_t n = 0;
-  for (const int a : arc_from) n += a >= 0 ? 1 : 0;
-  return n;
-}
-
-FlowSolution resolve_warm_mapped(const Graph& g, const WarmStartCache& cache,
-                                 const WarmCorrespondence& map,
-                                 SolveGuard* guard, SolverWorkspace* ws) {
-  if (!cache.has_entry() || g.has_lower_bounds() ||
-      g.total_supply() != 0 ||
-      map.arc_from.size() != static_cast<std::size_t>(g.num_arcs()) ||
-      map.node_from.size() != static_cast<std::size_t>(g.num_nodes())) {
-    return {};
-  }
-
-  SolverWorkspace local;
-  SolverWorkspace& w = ws != nullptr ? *ws : local;
-  ++w.counters.solves;
-
-  Residual& res = w.residual;
-  res.assign(g);
-  const NodeId n = g.num_nodes();
-  const auto un = static_cast<std::size_t>(n);
-  SspScratch& s = w.ssp;
-  s.prepare(n);
-
-  // Impose the cached flow wherever the correspondence carries it over,
-  // clamped to the new capacities. Arcs the edit removed are simply not
-  // imposed (their endpoints pick up excess/deficit the drain repairs);
-  // arcs the edit added start at zero flow.
-  s.excess.assign(un, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    s.excess[static_cast<std::size_t>(v)] = g.supply(v);
-  }
-  const std::vector<Flow>& prior = cache.flow();
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const int from = map.arc_from[static_cast<std::size_t>(a)];
-    if (from < 0 || static_cast<std::size_t>(from) >= prior.size()) continue;
-    const Arc& arc = g.arc(a);
-    const Flow f = std::min(prior[static_cast<std::size_t>(from)], arc.upper);
-    if (f <= 0) continue;
-    res.push(2 * a, f);
-    s.excess[static_cast<std::size_t>(arc.tail)] -= f;
-    s.excess[static_cast<std::size_t>(arc.head)] += f;
-  }
-
-  // Carry the cached potentials over the mapped nodes; new nodes start
-  // at 0. The invariant-restoring saturation below is exactly
-  // resolve_warm's: any residual edge whose reduced cost is negative
-  // under the carried potentials (a re-costed arc, or any arc touching
-  // a new node) is saturated, after which the potentials are valid and
-  // the SSP drain repairs the remaining imbalance optimally.
-  const std::vector<Cost>& prior_pi = cache.potentials();
-  s.pi.assign(un, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    const int from = map.node_from[static_cast<std::size_t>(v)];
-    if (from >= 0 && static_cast<std::size_t>(from) < prior_pi.size()) {
-      s.pi[static_cast<std::size_t>(v)] =
-          prior_pi[static_cast<std::size_t>(from)];
-    }
-  }
-  if (guard != nullptr && !guard->tick()) {
-    return internal::budget_exceeded(SolverKind::kSuccessiveShortestPaths);
-  }
-  for (int e = 0; e < res.num_edges(); ++e) {
-    const auto& edge = res.edge(e);
-    if (edge.cap <= 0) continue;
-    const NodeId u = res.tail(e);
-    const Cost rc = edge.cost + s.pi[static_cast<std::size_t>(u)] -
-                    s.pi[static_cast<std::size_t>(edge.head)];
-    if (rc >= 0) continue;
-    const Flow cap = edge.cap;
-    res.push(e, cap);
-    s.excess[static_cast<std::size_t>(u)] -= cap;
-    s.excess[static_cast<std::size_t>(edge.head)] += cap;
-  }
-
-  constexpr int kWarmSinksPerRound = 16;
-  const SolveStatus status =
-      internal::ssp_drain(res, guard, w, kWarmSinksPerRound);
-  if (status == SolveStatus::kBudgetExceeded) {
-    return internal::budget_exceeded(SolverKind::kSuccessiveShortestPaths);
-  }
-  if (status != SolveStatus::kOptimal) return {};
-
-  FlowSolution sol;
-  sol.status = SolveStatus::kOptimal;
-  sol.arc_flow = res.arc_flows();
-  sol.cost = 0;
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    sol.cost += g.arc(a).cost * sol.arc_flow[static_cast<std::size_t>(a)];
-  }
-  return sol;
-}
-
-WarmStartCache* WarmStartPool::find(std::uint64_t key) {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);  // Touch: move to front.
-  return &it->second->cache;
-}
-
-WarmStartCache* WarmStartPool::acquire(std::uint64_t key) {
-  if (WarmStartCache* hit = find(key)) return hit;
-  if (entries_.size() >= capacity_) {
-    entries_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.push_front(Entry{key, WarmStartCache{}});
-  entries_.emplace(key, lru_.begin());
-  return &lru_.front().cache;
-}
-
-void WarmStartPool::clear() {
-  lru_.clear();
-  entries_.clear();
 }
 
 }  // namespace lera::netflow

@@ -1,10 +1,6 @@
 #pragma once
 
-#include <cstdint>
-#include <list>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "netflow/graph.hpp"
@@ -28,6 +24,10 @@
 /// a cold SSP solve; callers are expected to certify it regardless
 /// (solve_robust always does), so a wrong warm start fails loudly,
 /// never silently.
+///
+/// An edited instance (a variable added, removed or shifted) has a
+/// different topology, so its cache entry is first carried onto the new
+/// graph with WarmStartCache::remapped; the same resolve then repairs it.
 
 namespace lera::netflow {
 
@@ -49,6 +49,28 @@ enum class WarmStoreOutcome {
 };
 
 std::string to_string(WarmStoreOutcome outcome);
+
+/// Arc/node correspondence between a *new* graph and the graph a
+/// WarmStartCache was stored against, for incremental-edit repair: the
+/// new graph may have arcs and nodes the cached one lacks (an added
+/// variable's segment arcs) and lack arcs the cached one has (a removed
+/// variable's — their cached flow is simply not carried over, and the
+/// drain repairs the imbalance). Built by the caller from semantic arc
+/// keys (alloc::FlowGraphSpec::arc_info), never from raw indices.
+struct WarmCorrespondence {
+  /// arc_from[a] = arc id in the cached graph that new arc \p a
+  /// corresponds to, or -1 for a genuinely new arc (starts at 0 flow).
+  std::vector<int> arc_from;
+  /// node_from[v] = node id in the cached graph that new node \p v
+  /// corresponds to, or -1 for a new node (falls back to potential 0;
+  /// the saturation pass restores the optimality invariant around it).
+  std::vector<int> node_from;
+
+  /// Arcs of the new graph with a cached counterpart — the warm mass
+  /// actually carried over. Callers skip the warm path when this is too
+  /// small a fraction to beat a cold solve.
+  std::size_t mapped_arcs() const;
+};
 
 /// Topology-keyed snapshot of the last certified-optimal solve. Not
 /// thread-safe: like a SolverWorkspace, a cache belongs to one
@@ -73,6 +95,16 @@ class WarmStartCache {
   /// cycle are all refused).
   WarmStoreOutcome store(const Graph& g, const std::vector<Flow>& flow);
 
+  /// This entry carried onto the edited graph \p g through \p map: a
+  /// cache that matches(g), seeded with the cached flow on the mapped
+  /// arcs (0 on new ones) and the cached potentials on the mapped nodes
+  /// (0 on new ones). The seed is neither feasible nor provably optimal
+  /// for \p g; resolve_warm's saturate-and-drain repairs both, exactly
+  /// as it repairs a re-costed instance. Empty (!has_entry()) when this
+  /// cache is empty, \p g has lower bounds, or \p map is not sized for
+  /// \p g.
+  WarmStartCache remapped(const Graph& g, const WarmCorrespondence& map) const;
+
   void clear();
 
   const std::vector<Flow>& flow() const { return flow_; }
@@ -85,6 +117,9 @@ class WarmStartCache {
   std::vector<Flow> supplies_;
   std::vector<Flow> flow_;
   std::vector<Cost> pi_;
+
+  /// Keys the entry to \p g's topology (arc endpoints and supplies).
+  void key_to(const Graph& g);
 };
 
 /// Re-solves \p g starting from the cached flow. Requires
@@ -94,81 +129,5 @@ class WarmStartCache {
 FlowSolution resolve_warm(const Graph& g, const WarmStartCache& cache,
                           SolveGuard* guard = nullptr,
                           SolverWorkspace* ws = nullptr);
-
-/// Arc/node correspondence between a *new* graph and the graph a
-/// WarmStartCache was stored against, for incremental-edit repair: the
-/// new graph may have arcs and nodes the cached one lacks (an added
-/// variable's segment arcs) and lack arcs the cached one has (a removed
-/// variable's — their cached flow is simply not imposed, and the drain
-/// repairs the imbalance). Built by the caller from semantic arc keys
-/// (alloc::FlowGraphSpec::arc_info), never from raw indices.
-struct WarmCorrespondence {
-  /// arc_from[a] = arc id in the cached graph that new arc \p a
-  /// corresponds to, or -1 for a genuinely new arc (starts at 0 flow).
-  std::vector<int> arc_from;
-  /// node_from[v] = node id in the cached graph that new node \p v
-  /// corresponds to, or -1 for a new node (falls back to potential 0;
-  /// the saturation pass restores the optimality invariant around it).
-  std::vector<int> node_from;
-
-  /// Arcs of the new graph with a cached counterpart — the warm mass
-  /// actually carried over. Callers skip the warm path when this is too
-  /// small a fraction to beat a cold solve.
-  std::size_t mapped_arcs() const;
-};
-
-/// resolve_warm generalised across an edit: re-solves \p g starting
-/// from the cached flow of a *different but overlapping* graph, imposed
-/// through \p map (clamped to the new capacities), with the cached
-/// potentials carried over the mapped nodes. Exactly like resolve_warm,
-/// every residual edge with negative reduced cost is saturated and the
-/// accumulated imbalance is drained with SSP augmentations — small
-/// edits violate few edges, so the repair is a handful of short
-/// Dijkstra runs instead of a cold solve. Requires cache.has_entry(),
-/// no lower bounds on \p g, and g.total_supply() == 0; the caller must
-/// certify the answer (the alloc::IncrementalAllocator always does).
-FlowSolution resolve_warm_mapped(const Graph& g, const WarmStartCache& cache,
-                                 const WarmCorrespondence& map,
-                                 SolveGuard* guard = nullptr,
-                                 SolverWorkspace* ws = nullptr);
-
-/// Bounded keyed pool of WarmStartCaches: the single-entry cache
-/// generalised to a working set of kernels. Keyed by the caller's
-/// similarity hash (alloc::FingerprintResult::structural — instances
-/// that build the same flow topology share an entry, so cost-jittered
-/// resubmissions of one kernel warm-start each other), LRU-evicted at
-/// `capacity` entries. Not thread-safe: like a SolverWorkspace, a pool
-/// belongs to one sequential solve stream at a time (the Engine leases
-/// one per solve context).
-class WarmStartPool {
- public:
-  explicit WarmStartPool(std::size_t capacity = 8)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// The entry for \p key, created (evicting the least recently used
-  /// entry if full) when absent. The pointer stays valid until the
-  /// entry is evicted — use it for one solve, not across solves.
-  WarmStartCache* acquire(std::uint64_t key);
-
-  /// The entry for \p key or nullptr; touches LRU order on hit.
-  WarmStartCache* find(std::uint64_t key);
-
-  std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  std::int64_t evictions() const { return evictions_; }
-
-  void clear();
-
- private:
-  struct Entry {
-    std::uint64_t key = 0;
-    WarmStartCache cache;
-  };
-
-  std::size_t capacity_;
-  std::list<Entry> lru_;  ///< Front = most recently used.
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> entries_;
-  std::int64_t evictions_ = 0;
-};
 
 }  // namespace lera::netflow

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/problem.hpp"
@@ -19,11 +22,11 @@
 //    200-seed sweep;
 //  * sensitivity — every semantic mutation (registers, read times,
 //    widths, liveness, activities, energy params) changes it;
-//  * the exact hash distinguishes declaration orders, the structural
-//    hash ignores costs but not topology;
 //  * names/ValueIds are not hashed (renames collide on purpose);
-//  * problem_io round trips preserve all three hashes, since the wire
-//    format is how cached traffic actually arrives.
+//  * problem_io round trips preserve the hash, since the wire format is
+//    how cached traffic actually arrives;
+//  * the shipped corpus hashes to pinned values, so a change to the
+//    hashing code cannot silently move every cache key.
 
 namespace lera::alloc {
 namespace {
@@ -90,11 +93,6 @@ TEST(Fingerprint, PermutationInvarianceSweep) {
     for (std::size_t i = 0; i < sorted.size(); ++i) {
       EXPECT_EQ(sorted[i], static_cast<int>(i)) << "seed " << seed;
     }
-    if (!std::is_sorted(perm.begin(), perm.end())) {
-      // A genuinely different declaration order: the exact hash, which
-      // is declaration-order-sensitive by design, must differ.
-      EXPECT_NE(base.exact, other.exact) << "seed " << seed;
-    }
   }
 }
 
@@ -157,32 +155,6 @@ TEST(Fingerprint, SemanticMutationsChangeCanonicalHash) {
   }
 }
 
-TEST(Fingerprint, StructuralHashIgnoresCostsButNotTopology) {
-  const AllocationProblem p =
-      random_problem(7, 5, 2, /*random_act=*/true);
-  const FingerprintResult base = fingerprint_problem(p);
-
-  // Cost-only mutations: same flow topology, same structural hash.
-  AllocationProblem costs = p;
-  costs.params.mem_read *= 2;
-  costs.params.reg_write *= 3;
-  const FingerprintResult jittered = fingerprint_problem(costs);
-  EXPECT_EQ(base.structural, jittered.structural);
-  EXPECT_NE(base.canonical, jittered.canonical);
-
-  energy::ActivityMatrix act = p.activity;
-  act.set(1, 2, 0.125);
-  const AllocationProblem act_jittered =
-      make_problem(p.lifetimes, p.num_steps, p.num_registers, p.params,
-                   std::move(act), split_of(p));
-  EXPECT_EQ(fingerprint_problem(act_jittered).structural, base.structural);
-
-  // A register-count change alters the flow value: structural differs.
-  AllocationProblem regs = p;
-  regs.num_registers += 1;
-  EXPECT_NE(fingerprint_problem(regs).structural, base.structural);
-}
-
 TEST(Fingerprint, NamesAndValueIdsAreNotHashed) {
   const AllocationProblem p =
       random_problem(11, 4, 2, /*random_act=*/true);
@@ -197,8 +169,6 @@ TEST(Fingerprint, NamesAndValueIdsAreNotHashed) {
   const FingerprintResult a = fingerprint_problem(p);
   const FingerprintResult b = fingerprint_problem(q);
   EXPECT_EQ(a.canonical, b.canonical);
-  EXPECT_EQ(a.exact, b.exact);
-  EXPECT_EQ(a.structural, b.structural);
 }
 
 TEST(Fingerprint, ProblemIoRoundTripPreservesAllHashes) {
@@ -214,8 +184,6 @@ TEST(Fingerprint, ProblemIoRoundTripPreservesAllHashes) {
     const FingerprintResult a = fingerprint_problem(p);
     const FingerprintResult b = fingerprint_problem(*back.problem);
     EXPECT_EQ(a.canonical, b.canonical) << "seed " << seed;
-    EXPECT_EQ(a.exact, b.exact) << "seed " << seed;
-    EXPECT_EQ(a.structural, b.structural) << "seed " << seed;
   }
 }
 
@@ -226,6 +194,32 @@ TEST(Fingerprint, HexIsStableAndDistinct) {
   const AllocationProblem q = random_problem(4, 4, 2, true);
   EXPECT_NE(fingerprint_problem(p).canonical.hex(),
             fingerprint_problem(q).canonical.hex());
+}
+
+TEST(Fingerprint, CorpusCanonicalHexIsPinned) {
+  // The cache key of the shipped paper instances: any change to what
+  // is hashed, or in which order, moves these and must be deliberate.
+  const std::pair<const char*, const char*> pinned[] = {
+      {"figure3.lt", "27f324f64720c264d650a0d7f8bbe07d"},
+      {"figure4.lt", "50a10f9da66fd2803c0444407da3bd81"},
+  };
+  for (const auto& [name, hex] : pinned) {
+    // CTest runs with CWD = build/tests; the corpus sits at the repo root.
+    std::ifstream in;
+    for (const char* prefix : {"../../data/", "../data/", "data/"}) {
+      in.open(std::string(prefix) + name);
+      if (in.good()) break;
+      in.clear();
+    }
+    ASSERT_TRUE(in.good()) << "cannot locate data/" << name;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const workloads::ProblemParseResult parsed =
+        workloads::parse_problem(text.str());
+    ASSERT_TRUE(parsed.ok()) << name << ": " << parsed.error;
+    EXPECT_EQ(fingerprint_problem(*parsed.problem).canonical.hex(), hex)
+        << name;
+  }
 }
 
 }  // namespace

@@ -136,5 +136,41 @@ TEST(Incremental, IdenticalResubmissionRepairsInstantly) {
   EXPECT_GE(inc.stats().repairs_succeeded, 1);
 }
 
+TEST(Incremental, GateRefusalIsNotAFallback) {
+  // A register-count change fails the repair gate before any repair
+  // runs: that solve is cold, not a failed repair, so the accounting
+  // identity succeeded + fallbacks == attempted must still hold.
+  IncrementalAllocator inc;
+  AllocationProblem p = random_problem(3, 6, 2);
+  ASSERT_TRUE(inc.solve(p).feasible);
+  p.num_registers = 3;
+  ASSERT_TRUE(inc.solve(p).feasible);
+  const IncrementalStats& s = inc.stats();
+  EXPECT_EQ(s.cold_solves, 2);
+  EXPECT_EQ(s.repairs_attempted, 0);
+  EXPECT_EQ(s.repair_fallbacks, 0);
+  EXPECT_EQ(s.repairs_succeeded + s.repair_fallbacks, s.repairs_attempted);
+}
+
+TEST(Incremental, RepairCarriesTheRobustSolveDiagnostics) {
+  // A repair is a solve_robust warm attempt like any other, so its
+  // result reports through the standard diagnostics.
+  IncrementalAllocator inc;
+  const AllocationProblem p = random_problem(2, 6, 2);
+  ASSERT_TRUE(inc.solve(p).feasible);
+  const AllocationResult again = inc.solve(p);
+  ASSERT_TRUE(again.feasible) << again.message;
+  ASSERT_EQ(inc.stats().repairs_succeeded, 1);
+  const netflow::SolveDiagnostics& d = again.solve_diagnostics;
+  ASSERT_EQ(d.attempts.size(), 1u);
+  EXPECT_EQ(d.attempts.front().note, "warm-start");
+  EXPECT_TRUE(d.attempts.front().certified);
+  EXPECT_TRUE(d.warm_start_attempted);
+  EXPECT_TRUE(d.warm_start_hit);
+  EXPECT_EQ(d.certification, netflow::CertificationVerdict::kPassed);
+  EXPECT_EQ(d.perf.warm_start_hits, 1);
+  EXPECT_GT(d.wall_seconds, 0);
+}
+
 }  // namespace
 }  // namespace lera::alloc

@@ -12,7 +12,10 @@
 // always certified — and fall back to the cold chain the moment the
 // topology changes or the repair gives up. The warm path may pick a
 // different equal-cost optimum than the cold path, so these tests
-// compare objectives and certificates, never raw flow vectors.
+// compare objectives and certificates, never a warm flow vector with a
+// cold one. An edited instance's cache is carried over with
+// WarmStartCache::remapped, which must change nothing under the
+// identity map and still reach the cold optimum across an edit.
 
 namespace lera::netflow {
 namespace {
@@ -196,6 +199,102 @@ TEST(WarmStart, BudgetExceededSurfacesFromWarmPath) {
   const FlowSolution warm = resolve_warm(next, cache, &guard, nullptr);
   EXPECT_TRUE(warm.status == SolveStatus::kBudgetExceeded ||
               warm.optimal());
+}
+
+/// A correspondence that maps every arc and node of \p g onto itself.
+WarmCorrespondence identity_map(const Graph& g) {
+  WarmCorrespondence map;
+  for (ArcId a = 0; a < g.num_arcs(); ++a) map.arc_from.push_back(a);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) map.node_from.push_back(v);
+  return map;
+}
+
+TEST(WarmStart, IdentityRemapIsTheSameCache) {
+  const Graph base = workloads::random_flow_problem(5, warm_options());
+  const FlowSolution cold = solve(base);
+  ASSERT_TRUE(cold.optimal());
+  WarmStartCache cache;
+  ASSERT_EQ(cache.store(base, cold.arc_flow), WarmStoreOutcome::kStored);
+
+  const WarmStartCache same = cache.remapped(base, identity_map(base));
+  ASSERT_TRUE(same.has_entry());
+  EXPECT_TRUE(same.matches(base));
+  EXPECT_EQ(same.flow(), cache.flow());
+  EXPECT_EQ(same.potentials(), cache.potentials());
+
+  // Same seed, same resolve: bit-identical answers.
+  const Graph next = perturb(base, 55);
+  const FlowSolution a = resolve_warm(next, cache);
+  const FlowSolution b = resolve_warm(next, same);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.cost, b.cost);
+  EXPECT_EQ(a.arc_flow, b.arc_flow);
+}
+
+TEST(WarmStart, RemapAcrossAnEditResolvesToTheColdOptimum) {
+  int resolved = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Graph base = workloads::random_flow_problem(seed, warm_options());
+    const FlowSolution base_sol = solve(base);
+    if (!base_sol.optimal()) continue;
+    WarmStartCache cache;
+    ASSERT_EQ(cache.store(base, base_sol.arc_flow), WarmStoreOutcome::kStored);
+
+    // The edit: drop the first arc carrying flow and reroute it through
+    // a new node at one unit more cost, so the old optimum is stale.
+    ArcId dropped = 0;
+    while (base_sol.arc_flow[static_cast<std::size_t>(dropped)] == 0) {
+      ++dropped;
+    }
+    Graph edited(base.num_nodes());
+    WarmCorrespondence map;
+    for (NodeId v = 0; v < base.num_nodes(); ++v) {
+      edited.set_supply(v, base.supply(v));
+      map.node_from.push_back(v);
+    }
+    for (ArcId a = 0; a < base.num_arcs(); ++a) {
+      if (a == dropped) continue;
+      const Arc& arc = base.arc(a);
+      edited.add_arc(arc.tail, arc.head, arc.upper, arc.cost);
+      map.arc_from.push_back(a);
+    }
+    const Arc& gone = base.arc(dropped);
+    const NodeId via = edited.add_node();
+    map.node_from.push_back(-1);
+    edited.add_arc(gone.tail, via, gone.upper, gone.cost + 1);
+    edited.add_arc(via, gone.head, gone.upper, 0);
+    map.arc_from.push_back(-1);
+    map.arc_from.push_back(-1);
+
+    const WarmStartCache seeded = cache.remapped(edited, map);
+    ASSERT_TRUE(seeded.matches(edited)) << "seed " << seed;
+    const FlowSolution warm = resolve_warm(edited, seeded);
+    const FlowSolution cold =
+        solve(edited, SolverKind::kSuccessiveShortestPaths);
+    ASSERT_EQ(warm.status, cold.status) << "seed " << seed;
+    if (!cold.optimal()) continue;
+    ++resolved;
+    EXPECT_EQ(warm.cost, cold.cost) << "seed " << seed;
+    EXPECT_TRUE(check_feasible(edited, warm.arc_flow).ok) << "seed " << seed;
+    EXPECT_TRUE(certify_optimal(edited, warm.arc_flow)) << "seed " << seed;
+  }
+  EXPECT_GT(resolved, 10);
+}
+
+TEST(WarmStart, RemapOfAnEmptyCacheOrAMisfitMapIsEmpty) {
+  const Graph g = workloads::random_flow_problem(9, warm_options());
+  EXPECT_FALSE(WarmStartCache{}.remapped(g, identity_map(g)).has_entry());
+
+  const FlowSolution cold = solve(g);
+  ASSERT_TRUE(cold.optimal());
+  WarmStartCache cache;
+  ASSERT_EQ(cache.store(g, cold.arc_flow), WarmStoreOutcome::kStored);
+  WarmCorrespondence short_arcs = identity_map(g);
+  short_arcs.arc_from.pop_back();
+  EXPECT_FALSE(cache.remapped(g, short_arcs).has_entry());
+  WarmCorrespondence short_nodes = identity_map(g);
+  short_nodes.node_from.pop_back();
+  EXPECT_FALSE(cache.remapped(g, short_nodes).has_entry());
 }
 
 }  // namespace
