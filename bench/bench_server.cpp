@@ -428,7 +428,8 @@ PhaseReport run_overload(int per_client_requests) {
 
 /// Thread-safe seeded fault source for the engine's post-solve hook:
 /// roughly every fourth solve attempt gets a corrupted solution, which
-/// certification + retries must heal or surface typed.
+/// certification must catch: the next backend answers, or the request
+/// degrades to the baseline, and either way it ends in a typed verdict.
 struct ChaosHook {
   std::mutex mutex;
   std::mt19937_64 rng;
@@ -451,7 +452,6 @@ struct ChaosHook {
 bool run_chaos_seed(std::uint64_t seed, PhaseReport& agg) {
   ServerOptions opts = base_options();
   opts.engine.threads = 2;
-  opts.engine.solver_retries = 2;
   opts.drain_grace_seconds = 0.25;
   auto hook = std::make_shared<ChaosHook>(seed);
   opts.engine.alloc.solve.post_solve_hook =

@@ -19,9 +19,6 @@
 //                   solves degrade to the two-phase baseline (or are
 //                   skipped) and print "LERA_TIMEOUT <task> <detail>";
 //                   a run curtailed this way exits 3
-//     --retries N   re-run a solver whose answer flunks certification up
-//                   to N times (transient-fault healing) before falling
-//                   through the chain
 //     --max-bytes N per-solve memory budget in bytes (0 = unlimited);
 //                   a solve whose predicted footprint the budget refuses
 //                   degrades to the two-phase baseline, or prints
@@ -149,7 +146,6 @@ int main(int argc, char** argv) {
   int period = 1;
   int threads = 1;
   int deadline_ms = 0;
-  int retries = 0;
   long long max_bytes = 0;
   bool csv = false;
   bool perf = false;
@@ -183,13 +179,26 @@ int main(int argc, char** argv) {
       period = next_int("-p");
     } else if (arg == "-m") {
       const std::string m = next();
-      params.register_model = m == "static"
-                                  ? energy::RegisterModel::kStatic
-                                  : energy::RegisterModel::kActivity;
+      if (m == "static") {
+        params.register_model = energy::RegisterModel::kStatic;
+      } else if (m == "activity") {
+        params.register_model = energy::RegisterModel::kActivity;
+      } else {
+        std::cerr << "error: -m expects static|activity, got '" << m
+                  << "'\n";
+        return 1;
+      }
     } else if (arg == "-g") {
-      alloc_opts.style = next() == "allpairs"
-                             ? alloc::GraphStyle::kAllPairs
-                             : alloc::GraphStyle::kDensityRegions;
+      const std::string style = next();
+      if (style == "density") {
+        alloc_opts.style = alloc::GraphStyle::kDensityRegions;
+      } else if (style == "allpairs") {
+        alloc_opts.style = alloc::GraphStyle::kAllPairs;
+      } else {
+        std::cerr << "error: -g expects density|allpairs, got '" << style
+                  << "'\n";
+        return 1;
+      }
     } else if (arg == "-l") {
       lifetimes_path = next();
     } else if (arg == "--solver" || arg.rfind("--solver=", 0) == 0) {
@@ -215,8 +224,6 @@ int main(int argc, char** argv) {
       threads = next_int("--threads");
     } else if (arg == "--deadline-ms") {
       deadline_ms = next_int("--deadline-ms");
-    } else if (arg == "--retries") {
-      retries = next_int("--retries");
     } else if (arg == "--max-bytes") {
       const std::string v = next();
       try {
@@ -259,11 +266,15 @@ int main(int argc, char** argv) {
       std::cout << "usage: allocate_tool [file.lera...] [-r N] [-p N] "
                    "[-m static|activity] [-g density|allpairs] "
                    "[--solver auto|ssp|simplex|cost-scaling|cycle-canceling] "
-                   "[--threads N] [--deadline-ms N] [--retries N] "
+                   "[--threads N] [--deadline-ms N] "
                    "[--max-bytes N] [--audit off|legality|full] "
                    "[--pipeline] [--explore] [--perf] [--cache] "
                    "[--csv]\n";
       return 0;
+    } else if (arg.rfind('-', 0) == 0) {
+      std::cerr << "error: unknown option '" << arg
+                << "' (see --help)\n";
+      return 1;
     } else {
       positional.push_back(arg);
     }
@@ -344,7 +355,6 @@ int main(int argc, char** argv) {
     // baseline (flagged + exit 3) instead of failing outright.
     eng_opts.alloc.fallback_to_baseline = true;
   }
-  eng_opts.solver_retries = retries;
   if (use_cache) eng_opts.cache_entries = 256;
   if (max_bytes > 0) {
     eng_opts.max_bytes_per_solve = max_bytes;

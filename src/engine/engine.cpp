@@ -15,13 +15,12 @@ namespace {
 
 /// The supervision state one Engine entry point threads into its
 /// solves: the run-wide deadline (armed at entry), the cancel token the
-/// solves observe, and the shared breaker/stats. All observation-only
-/// until a knob is set — a default Supervision leaves the solve path
+/// solves observe, and the shared stats. All observation-only until a
+/// knob is set — a default Supervision leaves the solve path
 /// bit-identical to the unsupervised engine.
 struct Supervision {
   netflow::Deadline run_deadline;
   netflow::CancelToken cancel;
-  netflow::CircuitBreaker* breaker = nullptr;
   detail::EngineStatsCore* stats = nullptr;
   detail::ContextBank* bank = nullptr;
   /// Engine-wide memory budget; every solve charges a child of it.
@@ -72,16 +71,9 @@ netflow::Deadline request_deadline(const EngineOptions& options,
 void apply_supervision(alloc::AllocatorOptions& a, const EngineOptions& o,
                        const netflow::Deadline& deadline,
                        const netflow::CancelToken& cancel,
-                       netflow::CircuitBreaker* breaker,
                        const netflow::MemoryBudget& memory_budget) {
   a.solve.cancel = cancel;
   a.solve.deadline = netflow::Deadline::earlier(a.solve.deadline, deadline);
-  if (o.solver_retries > 0) {
-    a.solve.max_retries_per_solver = o.solver_retries;
-    a.solve.retry_backoff_seconds = o.retry_backoff_seconds;
-    a.solve.retry_seed = o.retry_seed;
-  }
-  if (breaker != nullptr) a.solve.breaker = breaker;
   // Per-solve budget: a child of the engine-wide ledger, capped by
   // max_bytes_per_solve. Inert (tracking nothing) only when the caller
   // already threaded a budget of their own.
@@ -100,10 +92,6 @@ void record_solve(detail::EngineStatsCore* stats,
   if (r.degraded) stats->degraded.fetch_add(1, std::memory_order_relaxed);
   if (r.memory_exceeded) {
     stats->memory_exceeded.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (r.solve_diagnostics.retries > 0) {
-    stats->retried.fetch_add(r.solve_diagnostics.retries,
-                             std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(stats->perf_mutex);
   stats->perf.add(r.solve_diagnostics.perf);
@@ -192,7 +180,7 @@ TaskReport solve_task(const ir::Task& task, const EngineOptions& options,
       alloc_options.fallback_to_baseline ||
       options.degrade_on_solver_failure;
   apply_supervision(alloc_options, options, deadline, sup.cancel,
-                    sup.breaker, sup.memory_budget);
+                    sup.memory_budget);
   const ContextLease lease(*sup.bank, alloc_options);
   if (sup.stats != nullptr) {
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
@@ -252,7 +240,7 @@ ScheduleCandidate evaluate_candidate(const ir::BasicBlock& bb,
   alloc::AllocatorOptions alloc_options = options.alloc;
   apply_supervision(alloc_options, options,
                     request_deadline(options, sup.run_deadline), sup.cancel,
-                    sup.breaker, sup.memory_budget);
+                    sup.memory_budget);
   const ContextLease lease(*sup.bank, alloc_options);
   if (sup.stats != nullptr) {
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
@@ -271,10 +259,6 @@ ScheduleCandidate evaluate_candidate(const ir::BasicBlock& bb,
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
       memory_budget_(netflow::MemoryBudget::make(options_.max_bytes_total)),
-      breaker_(options_.breaker_threshold > 0
-                   ? std::make_shared<netflow::CircuitBreaker>(
-                         options_.breaker_threshold)
-                   : nullptr),
       stats_core_(std::make_shared<detail::EngineStatsCore>()),
       bank_(std::make_shared<detail::ContextBank>()),
       cache_(options_.cache_entries > 0
@@ -309,7 +293,6 @@ EngineStats Engine::stats() const {
   s.solves_timed_out =
       stats_core_->timed_out.load(std::memory_order_relaxed);
   s.solves_degraded = stats_core_->degraded.load(std::memory_order_relaxed);
-  s.solves_retried = stats_core_->retried.load(std::memory_order_relaxed);
   s.solves_memory_exceeded =
       stats_core_->memory_exceeded.load(std::memory_order_relaxed);
   s.memory_bytes_in_use = memory_budget_.used();
@@ -318,10 +301,6 @@ EngineStats Engine::stats() const {
   {
     std::lock_guard<std::mutex> lock(stats_core_->perf_mutex);
     s.perf = stats_core_->perf;
-  }
-  if (breaker_ != nullptr) {
-    s.breaker_threshold = breaker_->threshold();
-    s.open_breakers = breaker_->open_solvers();
   }
   if (cache_ != nullptr) {
     const AllocCacheStats cs = cache_->stats();
@@ -348,8 +327,7 @@ EngineStats Engine::stats() const {
 
 PipelineReport Engine::run(const ir::TaskGraph& graph) const {
   const Supervision sup{run_deadline_of(options_), shutdown_,
-                        breaker_.get(), stats_core_.get(), bank_.get(),
-                        memory_budget_};
+                        stats_core_.get(), bank_.get(), memory_budget_};
   const std::vector<ir::TaskId> order = graph.topological_order();
   std::vector<TaskReport> tasks(order.size());
 
@@ -398,8 +376,7 @@ PipelineReport Engine::run(const ir::TaskGraph& graph) const {
 
 ExploreResult Engine::explore(const ir::BasicBlock& bb) const {
   const Supervision sup{run_deadline_of(options_), shutdown_,
-                        breaker_.get(), stats_core_.get(), bank_.get(),
-                        memory_budget_};
+                        stats_core_.get(), bank_.get(), memory_budget_};
   ExploreResult out;
 
   // Candidate generation is cheap and order-defining: do it inline.
@@ -440,8 +417,7 @@ ExploreResult Engine::explore(const ir::BasicBlock& bb) const {
 std::vector<alloc::AllocationResult> Engine::allocate_batch(
     const std::vector<alloc::AllocationProblem>& problems) const {
   const Supervision sup{run_deadline_of(options_), shutdown_,
-                        breaker_.get(), stats_core_.get(), bank_.get(),
-                        memory_budget_};
+                        stats_core_.get(), bank_.get(), memory_budget_};
   std::vector<alloc::AllocationResult> results(problems.size());
   pool_->parallel_for(problems.size(), [&](std::size_t i) {
     // Anytime contract: problems not started when the run deadline
@@ -471,7 +447,7 @@ std::vector<alloc::AllocationResult> Engine::allocate_batch(
     alloc::AllocatorOptions alloc_options = options_.alloc;
     apply_supervision(alloc_options, options_,
                       request_deadline(options_, sup.run_deadline),
-                      sup.cancel, sup.breaker, sup.memory_budget);
+                      sup.cancel, sup.memory_budget);
     const ContextLease lease(*sup.bank, alloc_options);
     sup.stats->started.fetch_add(1, std::memory_order_relaxed);
     results[i] = alloc::allocate(problems[i], alloc_options);
@@ -548,14 +524,13 @@ std::size_t Session::submit(alloc::AllocationProblem problem,
   const netflow::Deadline deadline =
       budget > 0 ? netflow::Deadline::after(budget) : netflow::Deadline();
   // The job owns its problem and a share of the state (and of the
-  // engine's breaker/stats); it never touches the Session handle, so
+  // engine's stats); it never touches the Session handle, so
   // moving/destroying the Session is safe.
   engine_->pool_->submit(
       [state = state_, slot, problem = std::move(problem),
        options = engine_->options_, ticket, token, deadline,
-       stats = engine_->stats_core_, breaker = engine_->breaker_,
-       bank = engine_->bank_, cache = engine_->cache_,
-       memory_budget = engine_->memory_budget_] {
+       stats = engine_->stats_core_, bank = engine_->bank_,
+       cache = engine_->cache_, memory_budget = engine_->memory_budget_] {
         {
           std::lock_guard<std::mutex> lock(state->mutex);
           state->running[ticket] = true;
@@ -574,7 +549,7 @@ std::size_t Session::submit(alloc::AllocationProblem problem,
         if (!served_from_cache) {
           alloc::AllocatorOptions alloc_options = options.alloc;
           apply_supervision(alloc_options, options, deadline, token,
-                            breaker.get(), memory_budget);
+                            memory_budget);
           const ContextLease lease(*bank, alloc_options);
           stats->started.fetch_add(1, std::memory_order_relaxed);
           *slot = alloc::allocate(problem, alloc_options);

@@ -98,7 +98,7 @@ struct EngineOptions {
   /// Extra latency slack levels for force-directed schedules.
   std::vector<int> slack_options{0, 2, 4};
 
-  // --- Supervision: deadlines, retry, circuit breaking ------------------
+  // --- Supervision: deadlines -------------------------------------------
   /// With every knob here at its default, the engine's output is
   /// bit-identical to the unsupervised engine — the supervision layer
   /// only ever observes the solve path until a knob turns it on.
@@ -116,18 +116,6 @@ struct EngineOptions {
   /// down as for task_deadline_seconds; the partial report still
   /// aggregates everything that did finish.
   double run_deadline_seconds = 0;
-  /// Transient-failure retries per solver: re-run a solver whose answer
-  /// flunked certification up to this many times before falling through
-  /// the chain (netflow::SolveOptions::max_retries_per_solver).
-  int solver_retries = 0;
-  /// Base of the seeded jittered exponential backoff between retries.
-  double retry_backoff_seconds = 0;
-  /// Seed of the backoff jitter.
-  std::uint64_t retry_seed = 1;
-  /// Consecutive certification failures after which a solver's circuit
-  /// breaker opens and the engine skips it in subsequent solves
-  /// (netflow::CircuitBreaker). 0 = no breaker.
-  int breaker_threshold = 0;
 
   // --- Memory budgeting -------------------------------------------------
   /// Byte cap for one solve request (0 = none). Each solve gets a child
@@ -173,8 +161,6 @@ struct EngineStats {
   std::int64_t solves_timed_out = 0;
   /// Completed solves answered by the two-phase baseline.
   std::int64_t solves_degraded = 0;
-  /// Transient-failure re-runs summed over all solves.
-  std::int64_t solves_retried = 0;
   /// Completed solves a memory budget (or a real allocation failure)
   /// curtailed (AllocationResult::memory_exceeded); like timed_out, a
   /// memory-exceeded solve may still be feasible via the baseline.
@@ -187,10 +173,6 @@ struct EngineStats {
   /// Charges the engine-wide budget refused (0 when max_bytes_total is
   /// 0 — per-solve denials land in solves_memory_exceeded instead).
   std::int64_t memory_denials = 0;
-  /// Solvers whose circuit breaker is currently open (display names;
-  /// empty when breaker_threshold is 0).
-  std::vector<std::string> open_breakers;
-  int breaker_threshold = 0;
   /// Solver-level performance counters folded over every completed
   /// solve with netflow::PerfCounters::add (augmentations, heap traffic,
   /// workspace/warm-start hits, per-phase wall time). The cache_*
@@ -216,7 +198,6 @@ struct EngineStatsCore {
   std::atomic<std::int64_t> cancelled{0};
   std::atomic<std::int64_t> timed_out{0};
   std::atomic<std::int64_t> degraded{0};
-  std::atomic<std::int64_t> retried{0};
   std::atomic<std::int64_t> memory_exceeded{0};
   /// Every completed solve's diagnostics folded in with
   /// netflow::PerfCounters::add, under perf_mutex.
@@ -466,9 +447,8 @@ class Engine {
   /// Opens an incremental batching session (see Session).
   Session open_session() const { return Session(*this); }
 
-  /// Snapshot of the supervision counters and breaker state. Counters
-  /// are monotonic over the engine's lifetime and shared by every entry
-  /// point and session.
+  /// Snapshot of the supervision counters. Counters are monotonic over
+  /// the engine's lifetime and shared by every entry point and session.
   EngineStats stats() const;
 
   /// The engine-wide shutdown token (parent of every session token).
@@ -489,12 +469,10 @@ class Engine {
   /// Root of every per-solve budget chain; also charged for the context
   /// bank's pooled workspaces.
   netflow::MemoryBudget memory_budget_;
-  /// Non-null when options_.breaker_threshold > 0; shared with queued
-  /// Session jobs so it outlives any one handle.
-  std::shared_ptr<netflow::CircuitBreaker> breaker_;
+  /// Shared with queued Session jobs so it outlives any one handle.
   std::shared_ptr<detail::EngineStatsCore> stats_core_;
-  /// Workspace freelist; shared with queued Session jobs like the
-  /// breaker and stats core.
+  /// Workspace freelist; shared with queued Session jobs like the stats
+  /// core.
   std::shared_ptr<detail::ContextBank> bank_;
   /// Non-null when cache_entries > 0; shared with queued Session jobs.
   /// Entry bytes are charged against a child of memory_budget_.

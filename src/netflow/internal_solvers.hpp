@@ -25,8 +25,8 @@ FlowSolution budget_exceeded(SolverKind kind);
 /// this layer: "no workspace" has already been resolved to a throwaway
 /// local arena by solve(), so backends never carry their own fallback
 /// plumbing. Everything that runs a solver — solve()'s dispatch,
-/// solve_robust's fallback chain, the circuit breaker's kind
-/// enumeration, and the kAuto selector — routes through this table.
+/// solve_robust's fallback chain and the kAuto selector — routes
+/// through this table.
 struct SolverBackend {
   SolverKind kind;
   /// Stable short name for flags and logs ("ssp", "simplex", ...).

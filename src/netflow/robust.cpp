@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
 #include <new>
 #include <sstream>
-#include <thread>
 
-#include "netflow/internal_solvers.hpp"
 #include "netflow/select.hpp"
 #include "netflow/validate.hpp"
 #include "netflow/warm.hpp"
@@ -40,14 +36,6 @@ std::string to_string(CertificationVerdict verdict) {
   return "unknown";
 }
 
-std::vector<std::string> CircuitBreaker::open_solvers() const {
-  std::vector<std::string> out;
-  for (const internal::SolverBackend& backend : internal::solver_backends()) {
-    if (open(backend.kind)) out.push_back(to_string(backend.kind));
-  }
-  return out;
-}
-
 std::string SolveDiagnostics::summary() const {
   std::ostringstream os;
   os << message;
@@ -57,13 +45,7 @@ std::string SolveDiagnostics::summary() const {
       os << " " << to_string(a.solver) << "=" << to_string(a.status);
       if (!a.certified && !a.note.empty()) os << "(rejected)";
     }
-    if (retries > 0) os << " retries=" << retries;
     os << " cert=" << to_string(certification) << "]";
-  }
-  if (!breaker_skips.empty()) {
-    os << " [breaker-skipped:";
-    for (const std::string& s : breaker_skips) os << " " << s;
-    os << "]";
   }
   if (auto_selected) {
     os << " [auto: " << to_string(auto_choice) << " | " << auto_features
@@ -160,8 +142,9 @@ std::vector<SolverKind> effective_chain(const Graph& g,
     ++ws.counters.auto_selections;
     std::replace(chain.begin(), chain.end(), SolverKind::kAuto, choice);
   }
-  // Drop duplicates, keeping first occurrences: retrying the identical
-  // deterministic algorithm cannot change the answer.
+  // Drop duplicates, keeping first occurrences, so each backend runs at
+  // most once: re-running the identical deterministic algorithm cannot
+  // change the answer.
   std::vector<SolverKind> unique;
   for (SolverKind kind : chain) {
     if (std::find(unique.begin(), unique.end(), kind) == unique.end()) {
@@ -232,18 +215,6 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
     diag.perf = ws->counters.delta_since(perf_base);
     return sol;
   };
-  /// Seconds of time budget left: the tighter of max_seconds_total and
-  /// the absolute deadline; +infinity when neither is configured.
-  auto remaining_budget = [&]() {
-    double remaining = std::numeric_limits<double>::infinity();
-    if (options.max_seconds_total > 0) {
-      remaining = options.max_seconds_total - elapsed();
-    }
-    if (!options.deadline.unlimited()) {
-      remaining = std::min(remaining, options.deadline.remaining_seconds());
-    }
-    return remaining;
-  };
   auto cancelled_verdict = [&]() {
     diag.cancelled = true;
     FlowSolution out;
@@ -276,8 +247,7 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
   // Timed wrapper for the certification checks. Certification builds
   // its own residual / adjacency structures, so it can hit allocation
   // failure like any solver; that is not a corrupted answer, and
-  // certify_oom lets callers route it down the memory path instead of
-  // the transient-fault retry path.
+  // certify_oom lets callers route it down the memory path instead.
   bool certify_oom = false;
   auto certify_timed = [&](const FlowSolution& sol, CertifyLevel level,
                            std::string& why) {
@@ -339,30 +309,21 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
     }
   };
 
-  // Warm start: when the cache holds a prior optimal flow for this very
-  // topology, repair it for the new costs/capacities instead of solving
-  // cold. The warm answer is always certified (at least kFeasible) so a
-  // stale or wrong cache entry falls back to the cold chain instead of
-  // leaking through.
-  if (options.warm_cache != nullptr && options.warm_cache->matches(g)) {
-    diag.warm_start_attempted = true;
-    const double remaining = remaining_budget();
-    // The warm resolve runs the SSP machinery; budget it like an SSP
-    // attempt. A denial just skips the warm path — the cold chain may
-    // still find a backend that fits.
-    const BudgetCharge warm_charge =
-        charge_attempt(SolverKind::kSuccessiveShortestPaths);
-    if (remaining > 0 && !(budgeted && !warm_charge.ok())) {
-      SolveGuard guard;
-      guard.max_iterations = options.max_iterations_per_solver;
-      guard.cancel = options.cancel;
-      if (remaining != std::numeric_limits<double>::infinity()) {
-        guard.max_seconds = remaining;
-      }
+  // One solver attempt, warm or cold: a guard under the per-attempt
+  // iteration cap and the \p remaining seconds of the deadline, the
+  // timed solve, the test hook and the attempt record. The caller
+  // judges the answer.
+  auto run_attempt = [&](SolverKind kind, bool warm, double remaining,
+                         SolveAttempt& attempt) {
+    SolveGuard guard;
+    guard.max_iterations = options.max_iterations_per_solver;
+    guard.cancel = options.cancel;
+    if (!options.deadline.unlimited()) guard.max_seconds = remaining;
+    const double t_attempt = elapsed();
+    const auto t_solve = std::chrono::steady_clock::now();
+    FlowSolution sol;
+    if (warm) {
       guard.start();
-      const double t_attempt = elapsed();
-      const auto t_solve = std::chrono::steady_clock::now();
-      FlowSolution sol;
       try {
         sol = resolve_warm(g, *options.warm_cache, &guard, ws);
       } catch (const std::bad_alloc&) {
@@ -370,20 +331,46 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
         sol.message = "warm-start: allocation failed (out of memory)";
         diag.memory_hit = true;
       }
-      ws->counters.solve_ns += ns_since(t_solve);
-      if (sol.status == SolveStatus::kOptimal && options.post_solve_hook) {
-        options.post_solve_hook(g, sol);
-      }
+      // resolve_warm reports a fired token as a spent budget; solve()
+      // already tells the two apart.
+      if (guard.cancelled) sol.status = SolveStatus::kCancelled;
+    } else {
+      sol = solve(g, kind, &guard, ws);
+    }
+    ws->counters.solve_ns += ns_since(t_solve);
+    if (sol.status == SolveStatus::kOptimal && options.post_solve_hook) {
+      options.post_solve_hook(g, sol);
+    }
+    if (sol.status == SolveStatus::kBudgetExceeded && guard.time_exceeded) {
+      diag.deadline_hit = true;
+    }
+    attempt.solver = kind;
+    attempt.status = sol.status;
+    attempt.iterations = guard.iterations;
+    attempt.seconds = elapsed() - t_attempt;
+    diag.iterations += guard.iterations;
+    return sol;
+  };
 
+  // Warm start: when the cache holds a prior optimal flow for this very
+  // topology, repair it for the new costs/capacities instead of solving
+  // cold. The warm answer is always certified (at least kFeasible) so a
+  // stale or wrong cache entry falls back to the cold chain instead of
+  // leaking through.
+  if (options.warm_cache != nullptr && options.warm_cache->matches(g)) {
+    diag.warm_start_attempted = true;
+    const double remaining = options.deadline.remaining_seconds();
+    // The warm resolve runs the SSP machinery; budget it like an SSP
+    // attempt. A denial just skips the warm path — the cold chain may
+    // still find a backend that fits.
+    const BudgetCharge warm_charge =
+        charge_attempt(SolverKind::kSuccessiveShortestPaths);
+    if (remaining > 0 && !(budgeted && !warm_charge.ok())) {
       SolveAttempt attempt;
-      attempt.solver = SolverKind::kSuccessiveShortestPaths;
-      attempt.status = sol.status;
-      attempt.iterations = guard.iterations;
-      attempt.seconds = elapsed() - t_attempt;
       attempt.note = "warm-start";
-      diag.iterations += guard.iterations;
-
-      if (guard.cancelled) {
+      const FlowSolution sol = run_attempt(
+          SolverKind::kSuccessiveShortestPaths, true, remaining, attempt);
+      if (sol.status == SolveStatus::kCancelled) {
         diag.attempts.push_back(attempt);
         return cancelled_verdict();
       }
@@ -404,11 +391,10 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
           return finish(sol);
         }
         attempt.note = "warm-start rejected: " + why;
-        diag.attempts.push_back(attempt);
       } else {
         attempt.note = "warm-start fell back to cold solve";
-        diag.attempts.push_back(attempt);
       }
+      diag.attempts.push_back(attempt);
     }
   }
   if (options.warm_cache != nullptr && !diag.warm_start_hit) {
@@ -419,187 +405,101 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
   FlowSolution uncertified;
   bool have_uncertified = false;
   bool budget_hit = false;
-  bool chain_stopped = false;
 
-  // Seeded backoff jitter (splitmix64), deterministic per solve.
-  std::uint64_t rng_state =
-      options.retry_seed * 0x9e3779b97f4a7c15ULL + 0xbf58476d1ce4e5b9ULL;
-  auto backoff = [&](int retry) {
-    if (options.retry_backoff_seconds <= 0) return;
-    std::uint64_t z = (rng_state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
-    const double jitter =
-        0.5 + 0.5 * (static_cast<double>(z >> 11) / 9007199254740992.0);
-    double sleep_s = options.retry_backoff_seconds *
-                     static_cast<double>(std::int64_t{1}
-                                         << std::min(retry, 20)) *
-                     jitter;
-    const double remaining = remaining_budget();
-    if (remaining < sleep_s) sleep_s = std::max(0.0, remaining);
-    if (sleep_s > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
-    }
-  };
-
+  // One attempt per backend (effective_chain drops duplicates): an
+  // answer that flunks certification falls through to the next backend.
   for (SolverKind kind : chain) {
-    if (chain_stopped) break;
-    if (options.breaker != nullptr && !options.breaker->allow(kind)) {
-      diag.breaker_skips.push_back(to_string(kind));
+    if (options.cancel.cancelled()) return cancelled_verdict();
+    const double remaining = options.deadline.remaining_seconds();
+    if (remaining <= 0) {
+      budget_hit = true;
+      diag.deadline_hit = true;
+      break;
+    }
+    const BudgetCharge mem_charge = charge_attempt(kind);
+    if (budgeted && !mem_charge.ok()) {
+      SolveAttempt denied;
+      denied.solver = kind;
+      denied.status = SolveStatus::kMemoryExceeded;
+      denied.note = "memory budget refused predicted footprint (" +
+                    std::to_string(estimate_solver_bytes(mem_shape, kind)) +
+                    " bytes)";
+      diag.attempts.push_back(denied);
       continue;
     }
 
-    bool next_solver = false;
-    for (int retry = 0; !next_solver; ++retry) {
-      if (options.cancel.cancelled()) return cancelled_verdict();
-
-      SolveGuard guard;
-      guard.max_iterations = options.max_iterations_per_solver;
-      guard.cancel = options.cancel;
-      const double remaining = remaining_budget();
-      if (remaining <= 0) {
-        budget_hit = true;
-        diag.deadline_hit = true;
-        chain_stopped = true;
-        break;
-      }
-      if (remaining != std::numeric_limits<double>::infinity()) {
-        guard.max_seconds = remaining;
-      }
-
-      const BudgetCharge mem_charge = charge_attempt(kind);
-      if (budgeted && !mem_charge.ok()) {
-        SolveAttempt denied;
-        denied.solver = kind;
-        denied.status = SolveStatus::kMemoryExceeded;
-        denied.retry = retry;
-        denied.note = "memory budget refused predicted footprint (" +
-                      std::to_string(estimate_solver_bytes(mem_shape, kind)) +
-                      " bytes)";
-        diag.attempts.push_back(denied);
-        next_solver = true;
-        break;
-      }
-
-      const double t_attempt = elapsed();
-      const auto t_solve = std::chrono::steady_clock::now();
-      FlowSolution sol = solve(g, kind, &guard, ws);
-      ws->counters.solve_ns += ns_since(t_solve);
-      if (sol.status == SolveStatus::kOptimal && options.post_solve_hook) {
-        options.post_solve_hook(g, sol);
-      }
-
-      SolveAttempt attempt;
-      attempt.solver = kind;
-      attempt.status = sol.status;
-      attempt.iterations = guard.iterations;
-      attempt.seconds = elapsed() - t_attempt;
-      attempt.retry = retry;
-      diag.iterations += guard.iterations;
-
-      switch (sol.status) {
-        case SolveStatus::kOptimal: {
-          std::string why;
-          if (certify_timed(sol, options.certify, why)) {
-            attempt.certified = options.certify != CertifyLevel::kNone;
-            diag.attempts.push_back(attempt);
-            diag.solver_used = kind;
-            diag.fallbacks_taken =
-                static_cast<int>(diag.attempts.size()) - 1;
-            diag.certification = options.certify == CertifyLevel::kNone
-                                     ? CertificationVerdict::kNotRun
-                                     : CertificationVerdict::kPassed;
-            diag.message = "optimal via " + to_string(kind) +
-                           (diag.fallbacks_taken > 0
-                                ? " after " +
-                                      std::to_string(diag.fallbacks_taken) +
-                                      " fallback(s)"
-                                : "");
-            if (options.breaker != nullptr) {
-              options.breaker->record_success(kind);
-            }
-            refresh_warm_cache(sol);
-            return finish(sol);
-          }
-          attempt.note = "certification failed: " + why;
-          if (certify_oom) {
-            // Out of memory while *checking* the answer, not a
-            // corrupted answer: a typed memory attempt, the next
-            // backend gets its turn, and the breaker stays out of it.
-            attempt.status = SolveStatus::kMemoryExceeded;
-            diag.attempts.push_back(attempt);
-            next_solver = true;
-            break;
-          }
+    SolveAttempt attempt;
+    FlowSolution sol = run_attempt(kind, false, remaining, attempt);
+    switch (sol.status) {
+      case SolveStatus::kOptimal: {
+        std::string why;
+        if (certify_timed(sol, options.certify, why)) {
+          attempt.certified = options.certify != CertifyLevel::kNone;
           diag.attempts.push_back(attempt);
-          uncertified = std::move(sol);
-          have_uncertified = true;
-          if (options.breaker != nullptr) {
-            options.breaker->record_failure(kind);
-          }
-          // A flunked certificate is the transient-fault signature (the
-          // solver itself is deterministic, its answer was corrupted in
-          // flight): re-run the same solver under the retry budget
-          // before falling through the chain.
-          if (retry < options.max_retries_per_solver) {
-            ++diag.retries;
-            backoff(retry);
-            continue;
-          }
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kInfeasible: {
-          ++infeasible_votes;
-          diag.attempts.push_back(attempt);
-          const bool need_confirmation =
-              options.cross_check_infeasible &&
-              options.certify != CertifyLevel::kNone;
-          if (!need_confirmation || infeasible_votes >= 2) {
-            diag.fallbacks_taken =
-                static_cast<int>(diag.attempts.size()) - 1;
-            diag.message = "infeasible (confirmed by " +
-                           std::to_string(infeasible_votes) + " solver(s))";
-            FlowSolution inf;
-            inf.status = SolveStatus::kInfeasible;
-            return finish(inf);
-          }
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kBudgetExceeded: {
-          budget_hit = true;
-          diag.deadline_hit = diag.deadline_hit || guard.time_exceeded;
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kCancelled: {
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          return cancelled_verdict();
-        }
-        case SolveStatus::kMemoryExceeded: {
-          // A std::bad_alloc escaped the solver and was mapped at the
-          // solve() boundary; fall through the chain — a cheaper
-          // backend may still fit.
-          diag.memory_hit = true;
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          next_solver = true;
-          break;
-        }
-        case SolveStatus::kBadInstance:
-        case SolveStatus::kUncertified: {
-          // Unreachable after validate_instance, but fail loud, not wrong.
-          attempt.note = sol.message;
-          diag.attempts.push_back(attempt);
-          diag.message = "rejected by " + to_string(kind) + ": " + sol.message;
+          diag.solver_used = kind;
+          diag.fallbacks_taken = static_cast<int>(diag.attempts.size()) - 1;
+          diag.certification = options.certify == CertifyLevel::kNone
+                                   ? CertificationVerdict::kNotRun
+                                   : CertificationVerdict::kPassed;
+          diag.message = "optimal via " + to_string(kind) +
+                         (diag.fallbacks_taken > 0
+                              ? " after " +
+                                    std::to_string(diag.fallbacks_taken) +
+                                    " fallback(s)"
+                              : "");
+          refresh_warm_cache(sol);
           return finish(sol);
         }
+        attempt.note = "certification failed: " + why;
+        if (certify_oom) {
+          // Out of memory while *checking* the answer, not a corrupted
+          // answer: a typed memory attempt, and the next backend gets
+          // its turn.
+          attempt.status = SolveStatus::kMemoryExceeded;
+        } else {
+          uncertified = std::move(sol);
+          have_uncertified = true;
+        }
+        diag.attempts.push_back(attempt);
+        break;
       }
+      case SolveStatus::kInfeasible: {
+        ++infeasible_votes;
+        diag.attempts.push_back(attempt);
+        if (options.certify == CertifyLevel::kNone || infeasible_votes >= 2) {
+          diag.fallbacks_taken = static_cast<int>(diag.attempts.size()) - 1;
+          diag.message = "infeasible (confirmed by " +
+                         std::to_string(infeasible_votes) + " solver(s))";
+          FlowSolution inf;
+          inf.status = SolveStatus::kInfeasible;
+          return finish(inf);
+        }
+        break;
+      }
+      case SolveStatus::kBudgetExceeded:
+        budget_hit = true;
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        break;
+      case SolveStatus::kCancelled:
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        return cancelled_verdict();
+      case SolveStatus::kMemoryExceeded:
+        // A std::bad_alloc escaped the solver and was mapped at the
+        // solve() boundary; fall through the chain — a cheaper backend
+        // may still fit.
+        diag.memory_hit = true;
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        break;
+      case SolveStatus::kBadInstance:
+      case SolveStatus::kUncertified:
+        // Unreachable after validate_instance, but fail loud, not wrong.
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        diag.message = "rejected by " + to_string(kind) + ": " + sol.message;
+        return finish(sol);
     }
   }
 
@@ -627,38 +527,20 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
     inf.status = SolveStatus::kInfeasible;
     return finish(inf);
   }
+  FlowSolution out;
   if (budget_hit) {
-    FlowSolution out;
     out.status = SolveStatus::kBudgetExceeded;
     out.message = "iteration/time budget exhausted across " +
                   std::to_string(diag.attempts.size()) + " attempt(s)";
-    diag.message = out.message;
-    return finish(out);
-  }
-  if (diag.memory_hit) {
-    // Every attempt ended in a budget denial or a real allocation
-    // failure: the typed memory verdict, mirroring the deadline path so
-    // callers (allocator, engine, server) can degrade gracefully.
-    FlowSolution out;
+  } else {
+    // The chain is never empty, so every attempt ended in a budget
+    // denial or a real allocation failure: the typed memory verdict,
+    // mirroring the deadline path so callers (allocator, engine,
+    // server) can degrade gracefully.
     out.status = SolveStatus::kMemoryExceeded;
     out.message = "memory budget exhausted across " +
                   std::to_string(diag.attempts.size()) + " attempt(s)";
-    diag.message = out.message;
-    return finish(out);
   }
-  if (!diag.breaker_skips.empty()) {
-    // Every chain entry was skipped by an open breaker: no solver ran,
-    // so there is no answer to certify and nothing to trust.
-    FlowSolution out;
-    out.status = SolveStatus::kUncertified;
-    out.message =
-        "every solver in the chain is circuit-broken (breaker open)";
-    diag.message = out.message;
-    return finish(out);
-  }
-  FlowSolution out;
-  out.status = SolveStatus::kBadInstance;
-  out.message = "empty solver chain";
   diag.message = out.message;
   return finish(out);
 }

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -34,66 +32,11 @@ enum class CertifyLevel {
 
 std::string to_string(CertifyLevel level);
 
-/// Per-SolverKind circuit breaker, shared by many solve_robust calls
-/// (one lives in engine::Engine). A solver whose answers keep flunking
-/// certification is producing garbage — transient faults are healed by
-/// retry, but after `threshold` *consecutive* certification failures the
-/// breaker opens and the solver is skipped on subsequent solves instead
-/// of burning a full solve per request to rediscover the fault. A
-/// certified answer resets the count. Thread-safe; opening is sticky
-/// until reset().
-class CircuitBreaker {
- public:
-  explicit CircuitBreaker(int threshold = 3) : threshold_(threshold) {}
-
-  /// False once the breaker for \p kind is open (solver must be skipped).
-  bool allow(SolverKind kind) const { return !open(kind); }
-
-  bool open(SolverKind kind) const {
-    return threshold_ > 0 && failures(kind) >= threshold_;
-  }
-
-  void record_failure(SolverKind kind) {
-    slot(kind).fetch_add(1, std::memory_order_acq_rel);
-  }
-
-  void record_success(SolverKind kind) {
-    slot(kind).store(0, std::memory_order_release);
-  }
-
-  int failures(SolverKind kind) const {
-    return slot(kind).load(std::memory_order_acquire);
-  }
-
-  int threshold() const { return threshold_; }
-
-  /// Closes every breaker (new run, new luck).
-  void reset() {
-    for (auto& f : failures_) f.store(0, std::memory_order_release);
-  }
-
-  /// Solver kinds whose breaker is currently open, as display names.
-  std::vector<std::string> open_solvers() const;
-
- private:
-  // One slot per SolverKind enumerator (kAuto included, so a kAuto key
-  // can never alias a concrete solver's failure count).
-  static constexpr int kNumKinds = 5;
-
-  std::atomic<int>& slot(SolverKind kind) {
-    return failures_[static_cast<std::size_t>(kind) % kNumKinds];
-  }
-  const std::atomic<int>& slot(SolverKind kind) const {
-    return failures_[static_cast<std::size_t>(kind) % kNumKinds];
-  }
-
-  int threshold_;
-  std::array<std::atomic<int>, kNumKinds> failures_{};
-};
-
 /// Options for solve_robust.
 struct SolveOptions {
-  /// Solvers to try, in order. Empty selects the default chain
+  /// Solvers to try, in order, each at most once: an answer that flunks
+  /// certification falls through to the next entry, never to a re-run
+  /// of the same deterministic backend. Empty selects the default chain
   /// network simplex -> successive shortest paths. Cycle canceling is
   /// the differential oracle and runs only when listed explicitly.
   /// A SolverKind::kAuto entry is expanded in place by the shape-based
@@ -102,35 +45,21 @@ struct SolveOptions {
   std::vector<SolverKind> chain;
   /// Per-attempt iteration budget (0 = unlimited); see SolveGuard.
   std::int64_t max_iterations_per_solver = 0;
-  /// Wall-time budget shared by all attempts (0 = unlimited).
-  double max_seconds_total = 0;
   /// Certification applied to every optimal answer before accepting it.
-  CertifyLevel certify = CertifyLevel::kOptimal;
-  /// Require a second solver to confirm an infeasible verdict (when the
-  /// chain has one and certification is enabled): a buggy solver can
+  /// Unless it is kNone, an infeasible verdict also needs a second
+  /// solver's confirmation (when the chain has one): a buggy solver can
   /// report infeasible just as it can report a wrong optimum.
-  bool cross_check_infeasible = true;
+  CertifyLevel certify = CertifyLevel::kOptimal;
 
   /// Cooperative cancellation: observed between attempts and, through
   /// SolveGuard, inside every solver iteration. A fired token returns
-  /// kCancelled (and is never retried or degraded — the caller withdrew
-  /// the request).
+  /// kCancelled (and is never degraded — the caller withdrew the
+  /// request).
   CancelToken cancel;
-  /// Absolute wall-clock deadline for the whole robust solve, combined
-  /// with max_seconds_total by taking whichever is tighter. Expiry
-  /// surfaces as kBudgetExceeded with SolveDiagnostics::deadline_hit.
+  /// Absolute wall-clock deadline shared by all attempts of the robust
+  /// solve (default: unlimited). Expiry surfaces as kBudgetExceeded
+  /// with SolveDiagnostics::deadline_hit.
   Deadline deadline;
-  /// Re-run a solver whose optimality claim flunked certification up to
-  /// this many times before falling through the chain. Deterministic
-  /// solvers cannot change an infeasible or budget verdict, so only
-  /// certification failures — the transient-fault signature — retry.
-  int max_retries_per_solver = 0;
-  /// Base of the seeded, jittered exponential backoff slept between
-  /// retries: sleep = base * 2^retry * U[0.5, 1), capped by the
-  /// remaining time budget. 0 (default) retries immediately.
-  double retry_backoff_seconds = 0;
-  /// Seed of the backoff jitter (splitmix64; deterministic per solve).
-  std::uint64_t retry_seed = 1;
   /// Optional memory budget (membudget.hpp). Before each solver attempt
   /// the predicted footprint of that backend on this instance
   /// (estimate_solver_bytes) is charged against the budget; a refusal
@@ -141,11 +70,6 @@ struct SolveOptions {
   /// default-constructed (invalid) budget is inert. An std::bad_alloc
   /// escaping a solver is also mapped to kMemoryExceeded here.
   MemoryBudget memory_budget;
-  /// Optional shared circuit breaker consulted per chain entry; open
-  /// solvers are skipped (recorded in SolveDiagnostics::breaker_skips)
-  /// and certification outcomes are reported back to it. The breaker
-  /// must outlive the solve; solve_robust never takes ownership.
-  CircuitBreaker* breaker = nullptr;
 
   /// Optional reusable scratch arena (workspace.hpp) lent to every
   /// solver attempt; also accumulates the perf counters reported in
@@ -188,8 +112,6 @@ struct SolveAttempt {
   std::int64_t iterations = 0;  ///< Guard ticks consumed.
   double seconds = 0;           ///< Wall time of this attempt.
   bool certified = false;       ///< Passed the configured certification.
-  int retry = 0;                ///< 0 = first run of this solver; N = Nth
-                                ///< transient-failure re-run.
   std::string note;             ///< Why the attempt was rejected, if it was.
 };
 
@@ -212,12 +134,10 @@ struct SolveDiagnostics {
   SolverKind solver_used = SolverKind::kSuccessiveShortestPaths;
   /// Attempts beyond the first, certification re-solves included.
   int fallbacks_taken = 0;
-  /// Transient-failure re-runs taken (see SolveOptions::max_retries_per_solver).
-  int retries = 0;
   /// The cancel token stopped the solve (status kCancelled).
   bool cancelled = false;
-  /// The wall clock — max_seconds_total or the deadline, not the
-  /// iteration cap — ended the solve.
+  /// The wall clock — the deadline, not the iteration cap — ended the
+  /// solve.
   bool deadline_hit = false;
   /// A MemoryBudget denial or a caught std::bad_alloc ended at least one
   /// attempt (see SolveOptions::memory_budget).
@@ -225,9 +145,6 @@ struct SolveDiagnostics {
   /// Predicted peak footprint charged per attempt, in bytes (largest
   /// over the attempts; 0 when no budget was configured).
   std::int64_t memory_estimated_bytes = 0;
-  /// Solvers skipped because their circuit breaker was open, as display
-  /// names, in chain order.
-  std::vector<std::string> breaker_skips;
   CertificationVerdict certification = CertificationVerdict::kNotRun;
   /// A warm-start resolve actually ran (the cache matched the topology).
   bool warm_start_attempted = false;

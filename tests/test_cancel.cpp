@@ -216,7 +216,7 @@ TEST(SolveRobustCancel, CancellationIsNotABudgetVerdict) {
   // fired token the verdict must be kCancelled, never a masquerading
   // kBudgetExceeded (callers treat the two very differently).
   SolveOptions options;
-  options.max_seconds_total = 60;  // Roomy budget: not the cause.
+  options.deadline = Deadline::after(60);  // Roomy budget: not the cause.
   options.cancel = CancelToken::make();
   options.cancel.request_cancel();
   SolveDiagnostics diag;
@@ -234,15 +234,6 @@ TEST(SolveRobustCancel, ExpiredDeadlineSurfacesAsBudgetWithDeadlineHit) {
   EXPECT_TRUE(diag.deadline_hit);
   EXPECT_FALSE(diag.cancelled);
   EXPECT_TRUE(diag.attempts.empty());
-}
-
-TEST(SolveRobustCancel, DeadlineCombinesWithMaxSecondsTotal) {
-  // A generous max_seconds_total must not mask a tight deadline.
-  SolveOptions options;
-  options.max_seconds_total = 3600;
-  options.deadline = Deadline::after(-1);
-  const FlowSolution sol = solve_robust(diamond(), options);
-  EXPECT_EQ(sol.status, SolveStatus::kBudgetExceeded);
 }
 
 TEST(SolveRobustCancel, UnlimitedDeadlineChangesNothing) {

@@ -569,14 +569,11 @@ TEST(Engine, TaskDeadlineDegradesToAnytimeBaseline) {
 TEST(Engine, StatsCountCleanWork) {
   EngineOptions opts;
   opts.threads = 2;
-  opts.breaker_threshold = 3;
   const Engine engine(opts);
 
   const EngineStats fresh = engine.stats();
   EXPECT_EQ(fresh.solves_started, 0);
   EXPECT_EQ(fresh.solves_completed, 0);
-  EXPECT_EQ(fresh.breaker_threshold, 3);
-  EXPECT_TRUE(fresh.open_breakers.empty());
 
   std::vector<alloc::AllocationProblem> problems;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -591,9 +588,6 @@ TEST(Engine, StatsCountCleanWork) {
   EXPECT_EQ(after.solves_cancelled, 0);
   EXPECT_EQ(after.solves_timed_out, 0);
   EXPECT_EQ(after.solves_degraded, 0);
-  EXPECT_EQ(after.solves_retried, 0);
-  // Healthy solves never open a breaker.
-  EXPECT_TRUE(after.open_breakers.empty());
 }
 
 TEST(Engine, PerfTotalsEqualTheFoldOfPerSolveCounters) {

@@ -115,13 +115,6 @@ TEST(SolveRobust, InfeasibleCrossCheckedByASecondSolver) {
   const FlowSolution sol = solve_robust(g, {}, &diag);
   EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
   EXPECT_GE(diag.attempts.size(), 2u);  // Verdict confirmed, not trusted.
-
-  SolveOptions trusting;
-  trusting.cross_check_infeasible = false;
-  SolveDiagnostics diag_single;
-  const FlowSolution sol_single = solve_robust(g, trusting, &diag_single);
-  EXPECT_EQ(sol_single.status, SolveStatus::kInfeasible);
-  EXPECT_EQ(diag_single.attempts.size(), 1u);
 }
 
 TEST(SolveRobust, IterationBudgetSurfacesAsBudgetExceeded) {
@@ -163,7 +156,7 @@ TEST(SolveRobust, BudgetExhaustionFallsThroughTheChain) {
 
 TEST(SolveRobust, WallClockBudgetIsHonoured) {
   SolveOptions options;
-  options.max_seconds_total = 1e-12;  // Validation alone exceeds this.
+  options.deadline = Deadline::after(1e-12);  // Validation alone exceeds this.
   const FlowSolution sol = solve_robust(diamond(), options);
   EXPECT_EQ(sol.status, SolveStatus::kBudgetExceeded);
 }
@@ -202,10 +195,14 @@ TEST(SolveRobust, CorruptedFirstAttemptIsCaughtAndCorrected) {
   EXPECT_EQ(sol.cost, reference);
   EXPECT_GE(diag.fallbacks_taken, 1);
   EXPECT_EQ(diag.certification, CertificationVerdict::kPassed);
-  ASSERT_GE(diag.attempts.size(), 2u);
+  ASSERT_EQ(diag.attempts.size(), 2u);
   EXPECT_FALSE(diag.attempts[0].certified);
   EXPECT_NE(diag.attempts[0].note.find("certification failed"),
             std::string::npos);
+  // The rejected backend is not re-run: the next one answers.
+  EXPECT_TRUE(diag.attempts[1].certified);
+  EXPECT_NE(diag.attempts[1].solver, diag.attempts[0].solver);
+  EXPECT_EQ(diag.solver_used, diag.attempts[1].solver);
 }
 
 TEST(SolveRobust, AllAttemptsCorruptedSurfacesAsUncertified) {
@@ -223,6 +220,9 @@ TEST(SolveRobust, AllAttemptsCorruptedSurfacesAsUncertified) {
   EXPECT_EQ(diag.certification, CertificationVerdict::kFailed);
   EXPECT_EQ(injector.faults_injected(),
             static_cast<int>(diag.attempts.size()));
+  // Each backend of the default chain runs exactly once.
+  ASSERT_EQ(diag.attempts.size(), 2u);
+  EXPECT_NE(diag.attempts[0].solver, diag.attempts[1].solver);
   for (const SolveAttempt& attempt : diag.attempts) {
     EXPECT_FALSE(attempt.certified);
   }
@@ -240,161 +240,6 @@ TEST(SolveRobust, CertifyNoneTrustsTheSolverOutput) {
   const FlowSolution sol = solve_robust(g, options, &diag);
   EXPECT_EQ(injector.faults_injected(), 1);
   EXPECT_TRUE(sol.optimal());  // The corruption went undetected by design.
-  EXPECT_EQ(diag.certification, CertificationVerdict::kNotRun);
-}
-
-// ---------------------------------------------------------------------
-// Retry: transient faults healed by re-running the same solver
-
-TEST(SolveRobust, RetryHealsTransientFaultsAcrossSeeds) {
-  // Seeded sweep: every seed injects one transient fault into the only
-  // solver in the chain. With no fallback available, only the retry can
-  // heal it — and it must, with zero escapes (a corrupted answer
-  // returned as optimal) across the whole sweep.
-  const Graph g = diamond();
-  const Cost reference = solve(g).cost;
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    FaultInjector injector(seed);  // Corrupts the first optimal answer.
-    SolveOptions options;
-    options.chain = {SolverKind::kNetworkSimplex};
-    options.max_retries_per_solver = 2;
-    options.post_solve_hook = injector.hook();
-    SolveDiagnostics diag;
-    const FlowSolution sol = solve_robust(g, options, &diag);
-    ASSERT_EQ(injector.faults_injected(), 1) << "seed " << seed;
-    ASSERT_TRUE(sol.optimal()) << "seed " << seed << ": " << diag.summary();
-    EXPECT_EQ(sol.cost, reference) << "seed " << seed;
-    EXPECT_EQ(diag.certification, CertificationVerdict::kPassed);
-    EXPECT_EQ(diag.retries, 1) << "seed " << seed;
-    ASSERT_EQ(diag.attempts.size(), 2u);
-    EXPECT_EQ(diag.attempts[0].retry, 0);
-    EXPECT_FALSE(diag.attempts[0].certified);
-    EXPECT_EQ(diag.attempts[1].retry, 1);
-    EXPECT_TRUE(diag.attempts[1].certified);
-    EXPECT_EQ(diag.attempts[1].solver, SolverKind::kNetworkSimplex);
-    EXPECT_NE(diag.summary().find("retries=1"), std::string::npos);
-  }
-}
-
-TEST(SolveRobust, PersistentFaultExhaustsRetriesThenFallsThrough) {
-  // The fault outlives the retry budget of the first solver; the chain
-  // must still recover via the next solver, and the retry accounting
-  // must show the exhausted attempts.
-  const Graph g = diamond();
-  const Cost reference = solve(g).cost;
-  FaultInjectorOptions fopts;
-  fopts.max_faulty_attempts = 3;  // Primary + both retries corrupted.
-  FaultInjector injector(9, fopts);
-  SolveOptions options;
-  options.chain = {SolverKind::kNetworkSimplex,
-                   SolverKind::kSuccessiveShortestPaths};
-  options.max_retries_per_solver = 2;
-  options.post_solve_hook = injector.hook();
-  SolveDiagnostics diag;
-  const FlowSolution sol = solve_robust(g, options, &diag);
-  ASSERT_TRUE(sol.optimal()) << diag.summary();
-  EXPECT_EQ(sol.cost, reference);
-  EXPECT_EQ(diag.retries, 2);
-  ASSERT_EQ(diag.attempts.size(), 4u);  // 3 corrupted + 1 clean.
-  EXPECT_EQ(diag.attempts[2].retry, 2);
-  EXPECT_EQ(diag.attempts[3].solver,
-            SolverKind::kSuccessiveShortestPaths);
-  EXPECT_TRUE(diag.attempts[3].certified);
-}
-
-TEST(SolveRobust, RetryBackoffStaysDeterministicAndBounded) {
-  // A nonzero backoff must not change the verdict, and the whole solve
-  // must respect the total budget even while sleeping between retries.
-  const Graph g = diamond();
-  FaultInjector injector(3);
-  SolveOptions options;
-  options.chain = {SolverKind::kNetworkSimplex};
-  options.max_retries_per_solver = 1;
-  options.retry_backoff_seconds = 1e-4;
-  options.retry_seed = 42;
-  options.post_solve_hook = injector.hook();
-  SolveDiagnostics diag;
-  const FlowSolution sol = solve_robust(g, options, &diag);
-  ASSERT_TRUE(sol.optimal()) << diag.summary();
-  EXPECT_EQ(diag.retries, 1);
-}
-
-// ---------------------------------------------------------------------
-// Circuit breaker: persistent faults stop burning solves
-
-TEST(CircuitBreakerTest, OpensAtThresholdAndResets) {
-  CircuitBreaker breaker(2);
-  EXPECT_TRUE(breaker.allow(SolverKind::kNetworkSimplex));
-  breaker.record_failure(SolverKind::kNetworkSimplex);
-  EXPECT_TRUE(breaker.allow(SolverKind::kNetworkSimplex));
-  breaker.record_failure(SolverKind::kNetworkSimplex);
-  EXPECT_FALSE(breaker.allow(SolverKind::kNetworkSimplex));
-  EXPECT_TRUE(breaker.allow(SolverKind::kSuccessiveShortestPaths));
-  ASSERT_EQ(breaker.open_solvers().size(), 1u);
-  EXPECT_EQ(breaker.open_solvers()[0],
-            to_string(SolverKind::kNetworkSimplex));
-  breaker.record_success(SolverKind::kNetworkSimplex);
-  EXPECT_TRUE(breaker.allow(SolverKind::kNetworkSimplex));
-  breaker.record_failure(SolverKind::kCycleCanceling);
-  breaker.record_failure(SolverKind::kCycleCanceling);
-  breaker.reset();
-  EXPECT_TRUE(breaker.allow(SolverKind::kCycleCanceling));
-  EXPECT_TRUE(breaker.open_solvers().empty());
-}
-
-TEST(SolveRobust, PersistentFaultTripsBreakerAndIsSkippedInSameRun) {
-  // One solve under a persistently-faulty primary trips its breaker
-  // (threshold consecutive certification failures); the next solve of
-  // the same run skips that solver outright instead of rediscovering
-  // the fault, and records the skip in the diagnostics.
-  const Graph g = diamond();
-  CircuitBreaker breaker(2);
-  FaultInjectorOptions fopts;
-  fopts.max_faulty_attempts = 2;  // Primary + its retry, both corrupted.
-  FaultInjector injector(5, fopts);
-  SolveOptions options;
-  options.chain = {SolverKind::kNetworkSimplex,
-                   SolverKind::kSuccessiveShortestPaths};
-  options.max_retries_per_solver = 1;
-  options.breaker = &breaker;
-  options.post_solve_hook = injector.hook();
-  SolveDiagnostics diag;
-  const FlowSolution sol = solve_robust(g, options, &diag);
-  ASSERT_TRUE(sol.optimal()) << diag.summary();
-  EXPECT_TRUE(breaker.open(SolverKind::kNetworkSimplex));
-  EXPECT_FALSE(breaker.open(SolverKind::kSuccessiveShortestPaths));
-
-  SolveOptions clean = options;
-  clean.post_solve_hook = SolveOptions::SolutionHook{};
-  SolveDiagnostics diag2;
-  const FlowSolution sol2 = solve_robust(g, clean, &diag2);
-  ASSERT_TRUE(sol2.optimal()) << diag2.summary();
-  EXPECT_EQ(diag2.solver_used, SolverKind::kSuccessiveShortestPaths);
-  ASSERT_EQ(diag2.breaker_skips.size(), 1u);
-  EXPECT_EQ(diag2.breaker_skips[0],
-            to_string(SolverKind::kNetworkSimplex));
-  EXPECT_EQ(diag2.attempts.size(), 1u);
-  EXPECT_NE(diag2.summary().find("breaker-skipped"), std::string::npos);
-}
-
-TEST(SolveRobust, EveryBreakerOpenSurfacesLoudly) {
-  // A chain whose every entry is circuit-broken must fail loud: no
-  // solver ran, so nothing can be certified or trusted.
-  const Graph g = diamond();
-  CircuitBreaker breaker(1);
-  for (SolverKind kind :
-       {SolverKind::kSuccessiveShortestPaths, SolverKind::kCycleCanceling,
-        SolverKind::kNetworkSimplex, SolverKind::kCostScaling}) {
-    breaker.record_failure(kind);
-  }
-  SolveOptions options;
-  options.breaker = &breaker;
-  SolveDiagnostics diag;
-  const FlowSolution sol = solve_robust(g, options, &diag);
-  EXPECT_EQ(sol.status, SolveStatus::kUncertified);
-  EXPECT_NE(sol.message.find("circuit-broken"), std::string::npos);
-  EXPECT_TRUE(diag.attempts.empty());
-  EXPECT_EQ(diag.breaker_skips.size(), 2u);  // The default chain.
   EXPECT_EQ(diag.certification, CertificationVerdict::kNotRun);
 }
 
