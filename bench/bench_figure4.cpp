@@ -97,7 +97,7 @@ void structural_comparison(const energy::EnergyParams& params) {
   report::Table table({"graph", "transition arcs", "peak-idling arcs"});
   for (auto style :
        {alloc::GraphStyle::kDensityRegions, alloc::GraphStyle::kAllPairs}) {
-    const alloc::FlowGraphSpec spec = alloc::build_flow_graph(p, style);
+    const alloc::FlowGraphSpec spec = alloc::build_dense_flow_graph(p, style);
     int transitions = 0;
     int idling = 0;
     for (std::size_t a = 0; a < spec.arc_info.size(); ++a) {

@@ -2,8 +2,9 @@
 // ("globally optimal solution ... in polynomial time using very
 // efficient algorithms"). Google-benchmark sweep of the full allocation
 // pipeline (graph construction + min-cost flow + extraction) over
-// growing random lifetime sets; complexity is reported against the
-// instance's variable count.
+// growing random lifetime sets, on the dense graph (activity model, or
+// forced) and on the sparse hub graph (static model); complexity is
+// reported against the instance's variable count.
 
 #include <benchmark/benchmark.h>
 
@@ -62,6 +63,43 @@ void BM_AllocateAllPairsGraph(benchmark::State& state) {
 BENCHMARK(BM_AllocateAllPairsGraph)
     ->RangeMultiplier(2)
     ->Range(16, 512)
+    ->Complexity()
+    ->Unit(benchmark::kMillisecond);
+
+// The static model separates (alloc::uses_sparse_encoding), so
+// allocate() builds the hub encoding: O(s) arcs where the activity
+// model's density graph above has O(s^2).
+void BM_AllocateStaticSparse(benchmark::State& state) {
+  const alloc::AllocationProblem p = make_instance(
+      static_cast<int>(state.range(0)), 45, energy::RegisterModel::kStatic);
+  for (auto _ : state) {
+    alloc::AllocationResult r = alloc::allocate(p);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_AllocateStaticSparse)
+    ->RangeMultiplier(2)
+    ->Range(64, 4096)
+    ->Complexity()
+    ->Unit(benchmark::kMillisecond);
+
+// The same static instances on the paper's dense graph: the per-encoding
+// comparison for EXPERIMENTS.md SCALE.
+void BM_AllocateStaticDense(benchmark::State& state) {
+  const alloc::AllocationProblem p = make_instance(
+      static_cast<int>(state.range(0)), 45, energy::RegisterModel::kStatic);
+  for (auto _ : state) {
+    const alloc::FlowGraphSpec spec =
+        alloc::build_dense_flow_graph(p, alloc::GraphStyle::kDensityRegions);
+    alloc::AllocationResult r = alloc::allocate_with_spec(p, spec, {});
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_AllocateStaticDense)
+    ->RangeMultiplier(2)
+    ->Range(64, 1024)
     ->Complexity()
     ->Unit(benchmark::kMillisecond);
 

@@ -887,11 +887,15 @@ std::vector<FootprintClass> run_footprint_calibration(int per_class) {
     fc.name = cl.name;
     for (int i = 0; i < per_class; ++i) {
       const std::string lt = make_lt(rng, cl.vars, cl.steps, cl.regs);
-      const auto parsed = lera::workloads::parse_problem(lt);
+      // The admission predictor's own call: the server parses with its
+      // engine's params, whose register model picks the flow graph the
+      // estimate sizes.
+      const auto parsed = lera::workloads::parse_problem(lt, opts.engine.params);
       if (parsed.ok()) {
         fc.predicted_bytes = std::max(
             fc.predicted_bytes,
-            lera::alloc::estimate_problem_footprint(*parsed.problem));
+            lera::alloc::estimate_problem_footprint(
+                *parsed.problem, opts.engine.alloc.quantizer));
       }
       const std::string id = std::string(cl.name) + std::to_string(i);
       client.send_solve(id, lt);

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
 
   // Render the flow graph (paper Figure 1c) with the solution on it.
   const alloc::FlowGraphSpec spec =
-      alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
+      alloc::build_dense_flow_graph(p, alloc::GraphStyle::kDensityRegions);
   const netflow::FlowSolution sol = netflow::solve_st_flow(
       spec.graph, spec.s, spec.t, p.num_registers);
   const char* path = argc > 1 ? argv[1] : "figure1c_flow.dot";

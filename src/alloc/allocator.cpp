@@ -38,33 +38,39 @@ netflow::SolveOptions robust_options(const AllocatorOptions& options) {
 Assignment assignment_from_flow(const AllocationProblem& p,
                                 const FlowGraphSpec& spec,
                                 const std::vector<netflow::Flow>& arc_flow) {
+  // Walks the flow out of s one unit at a time, each along arcs that
+  // still carry flow (a per-node cursor skips the used-up ones). A unit
+  // is one register: it takes the next id at the first segment arc it
+  // crosses, so units that only bypass or idle take none.
   Assignment assignment(p.segments.size());
-  int next_register = 0;
-  for (netflow::ArcId a : spec.graph.out_arcs(spec.s)) {
-    const FlowGraphSpec::ArcInfo& info =
-        spec.arc_info[static_cast<std::size_t>(a)];
-    if (info.kind == ArcKind::kBypass ||
-        arc_flow[static_cast<std::size_t>(a)] == 0) {
-      continue;
+  std::vector<netflow::Flow> left = arc_flow;
+  std::vector<std::size_t> cursor(
+      static_cast<std::size_t>(spec.graph.num_nodes()), 0);
+  const auto next_arc = [&](netflow::NodeId v) {
+    const netflow::Graph::ArcRange out = spec.graph.out_arcs(v);
+    std::size_t& c = cursor[static_cast<std::size_t>(v)];
+    while (c < out.size() && left[static_cast<std::size_t>(out[c])] == 0) {
+      ++c;
     }
-    const int reg = next_register++;
-    int seg = info.to_seg;
+    return c < out.size() ? out[c] : netflow::kInvalidArc;
+  };
+  int next_register = 0;
+  for (netflow::ArcId a = next_arc(spec.s); a != netflow::kInvalidArc;
+       a = next_arc(spec.s)) {
+    int reg = -1;
     for (;;) {
-      assignment.assign_register(static_cast<std::size_t>(seg), reg);
-      // Exactly one unit leaves this segment's r-node.
-      netflow::ArcId out = netflow::kInvalidArc;
-      for (netflow::ArcId cand :
-           spec.graph.out_arcs(spec.r_node[static_cast<std::size_t>(seg)])) {
-        if (arc_flow[static_cast<std::size_t>(cand)] > 0) {
-          out = cand;
-          break;
-        }
+      --left[static_cast<std::size_t>(a)];
+      const FlowGraphSpec::ArcInfo& info =
+          spec.arc_info[static_cast<std::size_t>(a)];
+      if (info.kind == ArcKind::kSegment) {
+        if (reg < 0) reg = next_register++;
+        assignment.assign_register(static_cast<std::size_t>(info.from_seg),
+                                   reg);
       }
-      assert(out != netflow::kInvalidArc && "register chain broke mid-walk");
-      const FlowGraphSpec::ArcInfo& step =
-          spec.arc_info[static_cast<std::size_t>(out)];
-      if (step.kind == ArcKind::kToSink) break;
-      seg = step.to_seg;
+      const netflow::NodeId head = spec.graph.arc(a).head;
+      if (head == spec.t) break;
+      a = next_arc(head);
+      assert(a != netflow::kInvalidArc && "register chain broke mid-walk");
     }
   }
   return assignment;

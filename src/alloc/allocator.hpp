@@ -112,11 +112,13 @@ std::vector<AllocationResult> allocate_sweep(
 /// arbitrary (already validated) assignment.
 void finish_result(const AllocationProblem& p, AllocationResult& result);
 
-/// Reads the register chains off an optimal F = R flow of \p spec: each
-/// unit of s->t flow traces one register's occupancy chain. \p arc_flow
-/// is indexed by ArcId of spec.graph and must be a feasible integral
-/// flow of value p.num_registers (anything else trips the chain walk's
-/// asserts). allocate() uses it internally.
+/// Reads the register chains off an optimal F = R flow of \p spec, in
+/// either encoding: each unit of s->t flow traces one register's
+/// occupancy chain, and registers are numbered 0, 1, ... in the order
+/// their units leave s, counting only units that cross a segment arc.
+/// \p arc_flow is indexed by ArcId of spec.graph and must be a feasible
+/// integral flow of value p.num_registers (anything else trips the unit
+/// walk's asserts). allocate() uses it internally.
 Assignment assignment_from_flow(const AllocationProblem& p,
                                 const FlowGraphSpec& spec,
                                 const std::vector<netflow::Flow>& arc_flow);

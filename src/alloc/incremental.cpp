@@ -1,5 +1,6 @@
 #include "alloc/incremental.hpp"
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -8,14 +9,32 @@ namespace lera::alloc {
 
 namespace {
 
-/// Semantic key of one arc: kind + endpoint segments (in the OLD
-/// problem's segment numbering), packed for hashing. Segment ids fit in
-/// 24 bits for any instance the footprint estimator admits.
-std::uint64_t arc_key(ArcKind kind, int from_seg, int to_seg) {
+/// Semantic key of one arc: kind + its two endpoints, each a segment (in
+/// the OLD problem's segment numbering) for w/r nodes, an event time for
+/// hub nodes and -1 for s and t; packed for hashing. The kind says which
+/// endpoint is which. Segment ids and times fit in 24 bits for any
+/// instance the footprint estimator admits; anything wider is masked, so
+/// it can at worst collide, and a colliding key only weakens the seed,
+/// which the certified repair tolerates.
+std::uint64_t arc_key(ArcKind kind, int from, int to) {
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << 25) - 1;
   return (static_cast<std::uint64_t>(kind) << 50) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from_seg + 1))
+         ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(from + 1)) &
+           kMask)
           << 25) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(to_seg + 1));
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(to + 1)) &
+          kMask);
+}
+
+/// Node -> hub event time for the hubs of \p spec, -1 elsewhere (s, t,
+/// w/r nodes, and every node of a dense graph). Hubs are keyed by time,
+/// which an edit preserves wherever it does not move an event.
+std::vector<int> hub_times(const FlowGraphSpec& spec) {
+  std::vector<int> time(static_cast<std::size_t>(spec.graph.num_nodes()), -1);
+  for (std::size_t k = 0; k < spec.hub_node.size(); ++k) {
+    time[static_cast<std::size_t>(spec.hub_node[k])] = spec.hub_time[k];
+  }
+  return time;
 }
 
 /// Derives the variable correspondence new -> old between two problems:
@@ -97,24 +116,36 @@ netflow::WarmCorrespondence derive_correspondence(
     seg_new_to_old[s] = old_first[static_cast<std::size_t>(ov)] + seg.index;
   }
 
-  // Arc correspondence via semantic keys over the OLD numbering.
+  // Arc correspondence via semantic keys over the OLD numbering. An
+  // endpoint that is no segment is a hub (keyed by its time) or s/t.
+  const auto endpoints = [](const FlowGraphSpec& spec,
+                            const std::vector<int>& time, std::size_t a) {
+    const FlowGraphSpec::ArcInfo& info = spec.arc_info[a];
+    const netflow::Arc& arc = spec.graph.arc(static_cast<netflow::ArcId>(a));
+    return std::pair<int, int>{
+        info.from_seg >= 0 ? info.from_seg
+                           : time[static_cast<std::size_t>(arc.tail)],
+        info.to_seg >= 0 ? info.to_seg
+                         : time[static_cast<std::size_t>(arc.head)]};
+  };
+  const std::vector<int> old_time = hub_times(old_spec);
+  const std::vector<int> new_time = hub_times(new_spec);
   std::unordered_map<std::uint64_t, int> old_arcs;
   old_arcs.reserve(old_spec.arc_info.size());
   for (std::size_t a = 0; a < old_spec.arc_info.size(); ++a) {
-    const FlowGraphSpec::ArcInfo& info = old_spec.arc_info[a];
-    old_arcs.emplace(arc_key(info.kind, info.from_seg, info.to_seg),
+    const auto [from, to] = endpoints(old_spec, old_time, a);
+    old_arcs.emplace(arc_key(old_spec.arc_info[a].kind, from, to),
                      static_cast<int>(a));
   }
   map.arc_from.assign(new_spec.arc_info.size(), -1);
   for (std::size_t a = 0; a < new_spec.arc_info.size(); ++a) {
     const FlowGraphSpec::ArcInfo& info = new_spec.arc_info[a];
-    int from = info.from_seg;
-    int to = info.to_seg;
-    if (from >= 0) {
+    auto [from, to] = endpoints(new_spec, new_time, a);
+    if (info.from_seg >= 0) {
       from = seg_new_to_old[static_cast<std::size_t>(from)];
       if (from < 0) continue;
     }
-    if (to >= 0) {
+    if (info.to_seg >= 0) {
       to = seg_new_to_old[static_cast<std::size_t>(to)];
       if (to < 0) continue;
     }
@@ -124,7 +155,8 @@ netflow::WarmCorrespondence derive_correspondence(
     }
   }
 
-  // Node correspondence: s, t, then the matched segments' w/r pairs.
+  // Node correspondence: s, t, the matched segments' w/r pairs, and the
+  // hubs whose event time the old graph has too.
   map.node_from.assign(
       static_cast<std::size_t>(new_spec.graph.num_nodes()), -1);
   map.node_from[static_cast<std::size_t>(new_spec.s)] = old_spec.s;
@@ -136,6 +168,16 @@ netflow::WarmCorrespondence derive_correspondence(
         old_spec.w_node[static_cast<std::size_t>(os)];
     map.node_from[static_cast<std::size_t>(new_spec.r_node[s])] =
         old_spec.r_node[static_cast<std::size_t>(os)];
+  }
+  for (std::size_t k = 0; k < new_spec.hub_node.size(); ++k) {
+    const auto it = std::lower_bound(old_spec.hub_time.begin(),
+                                     old_spec.hub_time.end(),
+                                     new_spec.hub_time[k]);
+    if (it != old_spec.hub_time.end() && *it == new_spec.hub_time[k]) {
+      map.node_from[static_cast<std::size_t>(new_spec.hub_node[k])] =
+          old_spec.hub_node[static_cast<std::size_t>(
+              it - old_spec.hub_time.begin())];
+    }
   }
   return map;
 }
@@ -151,8 +193,11 @@ void IncrementalAllocator::reset() { warm_.clear(); }
 
 netflow::WarmStartCache IncrementalAllocator::seed(
     const AllocationProblem& p, const FlowGraphSpec& spec) const {
+  // Arc keys mean different things in the two encodings, so a repair
+  // only runs between graphs of the same one.
   if (!warm_.has_entry() || spec.graph.has_lower_bounds() ||
-      p.num_registers != base_problem_.num_registers) {
+      p.num_registers != base_problem_.num_registers ||
+      spec.hub_node.empty() != base_spec_.hub_node.empty()) {
     return {};
   }
   const std::vector<int> var_map = match_variables(base_problem_, p);

@@ -14,7 +14,8 @@
 ///
 ///  1. builds the new flow graph and derives an arc/node correspondence
 ///     to the baseline's graph from *semantic* keys (ArcKind + endpoint
-///     segments, with variables matched by name), never raw indices;
+///     segments, with variables matched by name, or the event times of
+///     the sparse encoding's hubs), never raw indices;
 ///  2. carries the baseline's flow and potentials onto the new graph
 ///     (netflow::WarmStartCache::remapped: removed arcs are dropped,
 ///     added arcs start empty) and hands that seed to the allocator's

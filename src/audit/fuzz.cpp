@@ -109,6 +109,26 @@ std::vector<std::string> differential_check(const AllocationProblem& p,
     fail("flow: " + f.to_string());
   }
 
+  // The sparse hub encoding against the paper's dense graph in the same
+  // style: they must agree on feasibility and, bit for bit, on the
+  // optimal flow cost.
+  if (p.verify().empty() &&
+      alloc::uses_sparse_encoding(p, flow_opts.quantizer)) {
+    const AllocationResult dense = alloc::allocate_with_spec(
+        p,
+        alloc::build_dense_flow_graph(p, flow_opts.style,
+                                      flow_opts.quantizer),
+        flow_opts);
+    if (dense.feasible != flow.feasible) {
+      fail(std::string("differential: sparse graph ") +
+           (flow.feasible ? "feasible" : "infeasible") + ", dense graph " +
+           (dense.feasible ? "feasible" : "infeasible"));
+    } else if (flow.feasible && dense.flow_cost != flow.flow_cost) {
+      fail("differential: sparse flow cost " + std::to_string(flow.flow_cost) +
+           " != dense flow cost " + std::to_string(dense.flow_cost));
+    }
+  }
+
   // The two-phase baseline [8] (legal but not optimal). Its phase 2
   // ignores §5.2 pins, so only unforced instances are in its domain.
   if (!has_forced(p)) {

@@ -13,7 +13,9 @@
 /// pushes it through the flow allocator, the two-phase baseline and —
 /// when the instance is small — the exhaustive optimum, audits every
 /// result with audit_allocation/audit_result, and cross-checks the
-/// solvers against each other (flow <= baseline, flow == optimum).
+/// solvers against each other (flow <= baseline, flow == optimum, and
+/// the sparse flow graph's cost == the dense graph's when the problem
+/// takes the sparse encoding).
 /// Any finding is serialised through workloads/problem_io into an
 /// artifact directory and delta-debug-shrunk to a minimal reproducer
 /// that replays with `allocate_tool -l <artifact> --audit full`.

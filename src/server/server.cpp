@@ -385,7 +385,8 @@ void Server::handle_solve(Conn& conn, Frame frame, const std::string& id) {
       const std::int64_t total = options_.engine.max_bytes_total;
       if (total > 0 && (cap == 0 || total < cap)) cap = total;
       const std::int64_t predicted =
-          cap > 0 ? alloc::estimate_problem_footprint(*parsed.problem)
+          cap > 0 ? alloc::estimate_problem_footprint(
+                        *parsed.problem, options_.engine.alloc.quantizer)
                   : 0;
       if (cap > 0 && predicted > cap) {
         admission_.release(tenant);

@@ -1,0 +1,259 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <vector>
+
+#include "alloc/allocator.hpp"
+#include "netflow/netflow.hpp"
+#include "workloads/random_gen.hpp"
+
+// The sparse hub encoding against the paper's dense graph. The hub chain
+// admits paths the dense graph lacks (a variable spilled and reloaded
+// into the same register), so the two agree at the optimum, not path for
+// path (DESIGN.md §4): same feasibility and a bit-equal flow cost on
+// every instance, and the sparse optimum's model energy equals its
+// replayed static energy.
+
+namespace lera::alloc {
+namespace {
+
+/// A static-model instance: 2-16 variables, access period 1 or 2, and a
+/// third of the seeds voltage-scaled. Every fifth seed bars one segment
+/// in five from the register file, which must keep it on the dense
+/// graph.
+AllocationProblem differential_problem(std::uint64_t seed) {
+  std::mt19937_64 shape(seed * 0x9e3779b97f4a7c15ull + 7);
+  workloads::RandomLifetimeOptions lopts;
+  lopts.num_vars = 2 + static_cast<int>(shape() % 15);
+  lopts.num_steps = 4 + static_cast<int>(shape() % 16);
+  lopts.max_reads = 1 + static_cast<int>(shape() % 2);
+  lopts.live_out_prob = 0.2;
+  energy::EnergyParams params;
+  if (seed % 3 == 0) {
+    static constexpr double kVolts[] = {3.3, 4.0, 5.0};
+    params.v_mem = kVolts[shape() % 3];
+    params.v_reg = kVolts[shape() % 3] - 1.0;
+  }
+  lifetime::SplitOptions split;
+  split.access.period = 1 + static_cast<int>(seed % 2);
+  split.access.phase = static_cast<int>(shape() % 2) % split.access.period;
+  std::vector<lifetime::Lifetime> lifetimes =
+      workloads::random_lifetimes(seed, lopts);
+  const std::size_t n = lifetimes.size();
+  AllocationProblem p = make_problem(std::move(lifetimes), lopts.num_steps,
+                                     1, params, energy::ActivityMatrix(n),
+                                     split);
+  if (seed % 5 == 4) {
+    for (std::size_t i = 0; i < p.segments.size(); i += 5) {
+      p.segments[i].forbidden_register = !p.segments[i].forced_register;
+    }
+  }
+  return p;
+}
+
+TEST(SparseGraph, MatchesTheDenseGraphOn750Seeds) {
+  int sparse_problems = 0;
+  int barred_problems = 0;
+  int solves = 0;
+  for (std::uint64_t seed = 1; seed <= 750; ++seed) {
+    AllocationProblem p = differential_problem(seed);
+    const bool barred = std::any_of(
+        p.segments.begin(), p.segments.end(),
+        [](const lifetime::Segment& s) { return s.forbidden_register; });
+    EXPECT_EQ(uses_sparse_encoding(p), !barred) << "seed " << seed;
+    ++(barred ? barred_problems : sparse_problems);
+    // Every R from 1 to the peak, through allocate_sweep (one graph
+    // built for the largest R) against one dense graph built likewise.
+    std::vector<int> registers(static_cast<std::size_t>(
+        std::max(1, p.max_density())));
+    std::iota(registers.begin(), registers.end(), 1);
+    p.num_registers = registers.back();
+    for (auto style : {GraphStyle::kDensityRegions, GraphStyle::kAllPairs}) {
+      AllocatorOptions opts;
+      opts.style = style;
+      opts.certify = true;
+      const std::vector<AllocationResult> sweep =
+          allocate_sweep(p, registers, opts);
+      const FlowGraphSpec dense_spec =
+          build_dense_flow_graph(p, style, opts.quantizer);
+      for (std::size_t i = 0; i < registers.size(); ++i) {
+        const int r = registers[i];
+        p.num_registers = r;
+        const AllocationResult& sparse = sweep[i];
+        const AllocationResult dense =
+            allocate_with_spec(p, dense_spec, opts);
+        ++solves;
+        ASSERT_EQ(sparse.feasible, dense.feasible)
+            << "seed " << seed << " R=" << r << ": " << sparse.message
+            << " / " << dense.message;
+        if (!sparse.feasible) continue;
+        ASSERT_EQ(sparse.flow_cost, dense.flow_cost)
+            << "seed " << seed << " R=" << r;
+        EXPECT_EQ(sparse.model_energy, dense.model_energy);
+        const double replayed = sparse.static_energy.total();
+        EXPECT_NEAR(sparse.model_energy, replayed,
+                    1e-3 + 1e-9 * std::abs(replayed))
+            << "seed " << seed << " R=" << r;
+      }
+      p.num_registers = registers.back();
+    }
+  }
+  EXPECT_GE(sparse_problems, 550);
+  EXPECT_GE(barred_problems, 100);
+  EXPECT_GT(solves, 2500);
+}
+
+/// The compile-large benchmark's 12 blocks (128-1024 variables, R =
+/// vars/8, default energies), and the optimal flow cost of each block's
+/// dense density-region graph.
+struct CompileBlock {
+  int vars;
+  int index;  ///< Among the blocks of its size.
+  netflow::Cost dense_cost;
+};
+constexpr CompileBlock kCompileBlocks[] = {
+    {128, 0, -1260000000},    {128, 1, -1274000000},
+    {256, 0, -2673000000},    {256, 1, -2619000000},
+    {512, 0, -5748000000},    {512, 1, -5825000000},
+    {512, 2, -5830000000},    {512, 3, -5833000000},
+    {1024, 0, -12354000000},  {1024, 1, -12041000000},
+    {1024, 2, -12379000000},  {1024, 3, -11989000000},
+};
+
+AllocationProblem compile_block(const CompileBlock& b) {
+  static constexpr int kSizes[] = {128, 256, 512, 1024};
+  const auto size_class = static_cast<std::uint64_t>(
+      std::find(std::begin(kSizes), std::end(kSizes), b.vars) -
+      std::begin(kSizes));
+  // The benchmark's block seed: splitmix64 of 64 + 16 * class + index.
+  std::uint64_t x =
+      64 + size_class * 16 + static_cast<std::uint64_t>(b.index);
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  workloads::RandomLifetimeOptions lopts;
+  lopts.num_vars = b.vars;
+  lopts.num_steps = b.vars / 2;
+  return make_problem(workloads::random_lifetimes(x, lopts), lopts.num_steps,
+                      b.vars / 8, energy::EnergyParams{},
+                      energy::ActivityMatrix(static_cast<std::size_t>(b.vars)));
+}
+
+TEST(SparseGraph, CompileLargeBlocksMatchTheDenseOptimumUnderEveryBackend) {
+  for (const CompileBlock& b : kCompileBlocks) {
+    const AllocationProblem p = compile_block(b);
+    ASSERT_TRUE(uses_sparse_encoding(p));
+    const FlowGraphSpec spec =
+        build_flow_graph(p, GraphStyle::kDensityRegions);
+    const auto s = static_cast<netflow::ArcId>(p.segments.size());
+    EXPECT_LE(spec.graph.num_arcs(), 6 * s + 4) << b.vars << "/" << b.index;
+    if (b.vars <= 256) {
+      // Small enough to solve the dense graph here too, which pins the
+      // table to the dense optimum.
+      AllocatorOptions opts;
+      opts.certify = true;
+      const AllocationResult dense = allocate_with_spec(
+          p, build_dense_flow_graph(p, opts.style), opts);
+      EXPECT_EQ(dense.flow_cost, b.dense_cost) << b.vars << "/" << b.index;
+    }
+    for (netflow::SolverKind kind :
+         {netflow::SolverKind::kSuccessiveShortestPaths,
+          netflow::SolverKind::kNetworkSimplex,
+          netflow::SolverKind::kCostScaling}) {
+      AllocatorOptions opts;
+      opts.certify = true;
+      opts.solve.chain = {kind};
+      const AllocationResult r = allocate_with_spec(p, spec, opts);
+      ASSERT_TRUE(r.feasible) << r.message;
+      ASSERT_EQ(r.solve_diagnostics.attempts.size(), 1u);
+      EXPECT_EQ(r.solve_diagnostics.attempts.front().solver, kind);
+      EXPECT_EQ(r.flow_cost, b.dense_cost)
+          << b.vars << "/" << b.index << " " << netflow::to_string(kind);
+      EXPECT_TRUE(validate_assignment(p, r.assignment).empty());
+    }
+  }
+}
+
+/// The chain walk assignment_from_flow replaced, kept as the reference
+/// for dense graphs: one register per flowed s arc, each following the
+/// one flowed arc out of every r-node it reaches.
+Assignment chain_walk(const AllocationProblem& p, const FlowGraphSpec& spec,
+                      const std::vector<netflow::Flow>& arc_flow) {
+  Assignment assignment(p.segments.size());
+  int next_register = 0;
+  for (netflow::ArcId a : spec.graph.out_arcs(spec.s)) {
+    const FlowGraphSpec::ArcInfo& info =
+        spec.arc_info[static_cast<std::size_t>(a)];
+    if (info.kind == ArcKind::kBypass ||
+        arc_flow[static_cast<std::size_t>(a)] == 0) {
+      continue;
+    }
+    const int reg = next_register++;
+    int seg = info.to_seg;
+    for (;;) {
+      assignment.assign_register(static_cast<std::size_t>(seg), reg);
+      netflow::ArcId out = netflow::kInvalidArc;
+      for (netflow::ArcId cand :
+           spec.graph.out_arcs(spec.r_node[static_cast<std::size_t>(seg)])) {
+        if (arc_flow[static_cast<std::size_t>(cand)] > 0) {
+          out = cand;
+          break;
+        }
+      }
+      EXPECT_NE(out, netflow::kInvalidArc);
+      if (out == netflow::kInvalidArc) return assignment;
+      const FlowGraphSpec::ArcInfo& step =
+          spec.arc_info[static_cast<std::size_t>(out)];
+      if (step.kind == ArcKind::kToSink) break;
+      seg = step.to_seg;
+    }
+  }
+  return assignment;
+}
+
+TEST(SparseGraph, UnitWalkMatchesTheChainWalkOnDenseGraphs) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    AllocationProblem p = differential_problem(seed);
+    if (seed % 2 == 0) {
+      p.params.register_model = energy::RegisterModel::kActivity;
+      p.activity = workloads::random_activity(seed, p.lifetimes.size());
+    }
+    p.num_registers = 1 + static_cast<int>(seed % 4);
+    const FlowGraphSpec spec =
+        build_dense_flow_graph(p, GraphStyle::kDensityRegions);
+    const netflow::FlowSolution sol =
+        netflow::solve_st_flow(spec.graph, spec.s, spec.t, p.num_registers);
+    if (!sol.optimal()) continue;
+    const Assignment walked = assignment_from_flow(p, spec, sol.arc_flow);
+    const Assignment reference = chain_walk(p, spec, sol.arc_flow);
+    for (std::size_t s = 0; s < p.segments.size(); ++s) {
+      ASSERT_EQ(walked.location(s), reference.location(s))
+          << "seed " << seed << " segment " << s;
+    }
+  }
+}
+
+TEST(SparseGraph, UnitWalkNumbersRegistersWithoutGaps) {
+  // Units that idle along the hub chain or take the bypass cross no
+  // segment and take no register id.
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    AllocationProblem p = differential_problem(seed);
+    p.num_registers = std::max(1, p.max_density()) + 2;
+    if (!uses_sparse_encoding(p)) continue;
+    const AllocationResult r = allocate(p);
+    ASSERT_TRUE(r.feasible) << r.message;
+    int highest = -1;
+    for (std::size_t s = 0; s < p.segments.size(); ++s) {
+      highest = std::max(highest, r.assignment.location(s));
+    }
+    EXPECT_EQ(highest + 1, r.registers_used) << "seed " << seed;
+  }
+}
+
+}  // namespace
+}  // namespace lera::alloc

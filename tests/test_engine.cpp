@@ -72,10 +72,11 @@ ir::TaskGraph paper_example_app() {
   return tg;
 }
 
-ir::TaskGraph random_app(std::uint64_t seed, int num_tasks) {
+ir::TaskGraph random_app(std::uint64_t seed, int num_tasks,
+                         int ops_per_task = 18) {
   ir::TaskGraph tg;
   workloads::RandomDfgOptions dopts;
-  dopts.num_ops = 18;
+  dopts.num_ops = ops_per_task;
   for (int i = 0; i < num_tasks; ++i) {
     std::vector<ir::TaskId> deps;
     if (i > 0) deps.push_back(static_cast<ir::TaskId>(i - 1));
@@ -490,8 +491,10 @@ TEST(Engine, RunDeadlineReturnsPartialReportPromptly) {
   // A 1 ms run deadline on a 24-task graph: most tasks cannot even
   // start. run() must come back promptly with every task accounted for,
   // the curtailed ones flagged — and no task may carry an unflagged
-  // (silently uncertified) flow answer.
-  const ir::TaskGraph tg = random_app(7, 24);
+  // (silently uncertified) flow answer. 60-op tasks keep the whole graph
+  // over ten times the deadline (about 13 ms with 4 threads on a 4-core
+  // Xeon); 18-op tasks on the sparse flow graph can all finish in 1 ms.
+  const ir::TaskGraph tg = random_app(7, 24, 60);
   EngineOptions opts;
   opts.threads = 4;
   opts.num_registers = 4;

@@ -136,6 +136,27 @@ TEST(Incremental, IdenticalResubmissionRepairsInstantly) {
   EXPECT_GE(inc.stats().repairs_succeeded, 1);
 }
 
+TEST(Incremental, IdenticalStaticResubmissionNeedsNoAugmentations) {
+  // The static model takes the sparse encoding, whose hub arcs and hub
+  // nodes are keyed by event time: the resubmitted baseline maps onto
+  // every arc and node, so the repair has nothing to drain.
+  int hits = 0;
+  std::int64_t augmentations = 0;
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    IncrementalAllocator inc;
+    const AllocationProblem p =
+        random_problem(seed, 4 + static_cast<int>(seed % 9), 2);
+    ASSERT_TRUE(uses_sparse_encoding(p));
+    ASSERT_TRUE(inc.solve(p).feasible) << "seed " << seed;
+    const AllocationResult again = inc.solve(p);
+    ASSERT_TRUE(again.feasible) << "seed " << seed;
+    if (again.solve_diagnostics.warm_start_hit) ++hits;
+    augmentations += again.solve_diagnostics.perf.augmentations;
+  }
+  EXPECT_EQ(hits, 50);
+  EXPECT_EQ(augmentations, 0);
+}
+
 TEST(Incremental, GateRefusalIsNotAFallback) {
   // A register-count change fails the repair gate before any repair
   // runs: that solve is cold, not a failed repair, so the accounting

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <sstream>
@@ -9,6 +10,7 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/flow_graph.hpp"
+#include "audit/fuzz.hpp"
 #include "engine/engine.hpp"
 #include "netflow/fault_injection.hpp"
 #include "netflow/membudget.hpp"
@@ -217,6 +219,46 @@ TEST(MemBudgetEstimate, FootprintIsTheWorstBackend) {
     EXPECT_GE(footprint, estimate_solver_bytes(shape, kind))
         << to_string(kind);
   }
+}
+
+// The allocation-level estimate follows the encoding build_flow_graph
+// picks and must never under-predict: over fuzz problems of both
+// register models it covers the spec's bytes plus the solve's measured
+// peak under a track-only budget.
+TEST(MemBudgetEstimate, ProblemFootprintCoversSpecAndSolvePeak) {
+  audit::DiffFuzzOptions fuzz;
+  fuzz.max_vars = 60;
+  fuzz.max_steps = 40;
+  int sparse = 0;
+  double min_ratio = 1e300;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const alloc::AllocationProblem p = audit::fuzz_problem(seed, fuzz);
+    const alloc::FlowGraphSpec spec =
+        alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
+    if (!spec.hub_node.empty()) ++sparse;
+    SolveOptions opts;
+    opts.chain = {SolverKind::kSuccessiveShortestPaths,
+                  SolverKind::kNetworkSimplex};
+    opts.memory_budget = MemoryBudget::make(0);
+    const FlowSolution sol = solve_st_flow_robust(
+        spec.graph, spec.s, spec.t, p.num_registers, opts);
+    ASSERT_NE(sol.status, SolveStatus::kMemoryExceeded) << "seed " << seed;
+    const std::int64_t spec_bytes =
+        static_cast<std::int64_t>(spec.graph.num_arcs()) *
+            static_cast<std::int64_t>(sizeof(Arc) +
+                                      sizeof(alloc::FlowGraphSpec::ArcInfo)) +
+        static_cast<std::int64_t>(spec.graph.num_nodes()) *
+            static_cast<std::int64_t>(2 * sizeof(NodeId));
+    const std::int64_t actual = spec_bytes + opts.memory_budget.peak();
+    const std::int64_t estimate = alloc::estimate_problem_footprint(p);
+    ASSERT_GE(estimate, actual) << "seed " << seed;
+    min_ratio = std::min(min_ratio, static_cast<double>(estimate) /
+                                        static_cast<double>(actual));
+  }
+  // Both encodings are covered.
+  EXPECT_GT(sparse, 300);
+  EXPECT_LT(sparse, 700);
+  EXPECT_GE(min_ratio, 1.0);
 }
 
 // ---------------------------------------------------------------------

@@ -79,7 +79,7 @@ TEST(Figure4, DensityGraphHasNoPeakIdlingArcs) {
   workloads::Figure4Options opts;
   const alloc::AllocationProblem p = workloads::figure4_problem(opts);
   const alloc::FlowGraphSpec spec =
-      alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
+      alloc::build_dense_flow_graph(p, alloc::GraphStyle::kDensityRegions);
   for (std::size_t a = 0; a < spec.arc_info.size(); ++a) {
     const auto& info = spec.arc_info[a];
     int from = -1;
@@ -101,6 +101,32 @@ TEST(Figure4, DensityGraphHasNoPeakIdlingArcs) {
           << "arc " << a << " idles across max-density boundary " << b;
     }
   }
+}
+
+TEST(Figure4, SparseGraphHasNoPeakIdlingArcs) {
+  // The hub encoding states the same rule locally: no idle arc of the
+  // time chain spans a boundary of maximum density.
+  workloads::Figure4Options opts;
+  const alloc::AllocationProblem p = workloads::figure4_problem(opts);
+  const alloc::FlowGraphSpec spec =
+      alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
+  ASSERT_FALSE(spec.hub_node.empty());
+  int idle_arcs = 0;
+  for (std::size_t a = 0; a < spec.arc_info.size(); ++a) {
+    if (spec.arc_info[a].kind != alloc::ArcKind::kIdle) continue;
+    ++idle_arcs;
+    const netflow::Arc& arc = spec.graph.arc(static_cast<netflow::ArcId>(a));
+    const auto hub_time = [&](netflow::NodeId v) {
+      return spec.hub_time[static_cast<std::size_t>(v -
+                                                    spec.hub_node.front())];
+    };
+    for (int b = std::max(0, hub_time(arc.tail));
+         b < hub_time(arc.head) && b <= p.num_steps; ++b) {
+      EXPECT_FALSE(p.is_max_density[static_cast<std::size_t>(b)])
+          << "idle arc " << a << " spans max-density boundary " << b;
+    }
+  }
+  EXPECT_GT(idle_arcs, 0);
 }
 
 class Table1Test : public ::testing::Test {
