@@ -5,9 +5,9 @@
 //
 // Besides the google-benchmark suites, `bench_solvers --smoke [out.json]`
 // runs a fixed CI smoke: cold-vs-workspace solver throughput, ns per
-// augmentation, and a warm-start cost-perturbation sweep, printed as
-// grep-able "LERA_METRIC bench=solvers ..." lines and optionally written
-// as JSON for artifact upload.
+// augmentation, a warm-start cost-perturbation sweep, and kAuto's regret
+// on allocation graphs, printed as grep-able "LERA_METRIC bench=solvers
+// ..." lines and optionally written as JSON for artifact upload.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +21,8 @@
 
 #include "alloc/flow_graph.hpp"
 #include "netflow/netflow.hpp"
+#include "sched/schedule.hpp"
+#include "workloads/kernels.hpp"
 #include "workloads/random_gen.hpp"
 
 using namespace lera;
@@ -112,6 +114,58 @@ struct SmokeMetric {
   double value = 0;
   std::string extra;  ///< Additional key=value pairs for the METRIC line.
 };
+
+/// One allocation graph of the smoke's calibration family.
+struct AllocClass {
+  std::string name;
+  alloc::AllocationProblem problem;
+  int reps = 1;  ///< Solves per timed batch (small graphs need more).
+};
+
+/// The shapes netflow/select.cpp is calibrated on, each chosen so that
+/// its winner beats the loser by at least 2x: a wrong pick then reads as
+/// an auto regret of 2 or more.
+std::vector<AllocClass> allocation_classes() {
+  std::vector<AllocClass> out;
+  // A compile-large block: sparse static graph, 1024 variables, R = 128.
+  // The simplex measured 2.4-2.6x faster.
+  workloads::RandomLifetimeOptions sparse;
+  sparse.num_vars = 1024;
+  sparse.num_steps = 512;
+  out.push_back({"alloc_sparse_r128",
+                 alloc::make_problem(workloads::random_lifetimes(11, sparse),
+                                     sparse.num_steps, 128,
+                                     energy::EnergyParams{},
+                                     energy::ActivityMatrix(1024)),
+                 3});
+  // The kernel suite's largest graph (rsp, 2,405 arcs) at the Engine's
+  // R = 4 with measured activities: SSP measured 2.9x faster.
+  energy::EnergyParams activity;
+  activity.register_model = energy::RegisterModel::kActivity;
+  const ir::BasicBlock rsp = workloads::make_rsp(4);
+  out.push_back({"alloc_kernel_r4",
+                 alloc::make_problem_from_block(
+                     rsp, sched::list_schedule(rsp, sched::Resources{2, 1}),
+                     4, activity, workloads::random_inputs(rsp, 32, 7)),
+                 200});
+  // Dense activity blocks: 256 variables (45k arcs) at R = 1, where SSP
+  // measured 3x faster, and 512 variables (190k arcs) at their peak
+  // R = 226, where the simplex measured 2.8-3.5x faster. (The 512-block
+  // at R = 1 separates by only 1.6-2x: SSP's O(m) set-up is most of it.)
+  const auto dense_block = [&activity](int vars) {
+    workloads::RandomLifetimeOptions dense;
+    dense.num_vars = vars;
+    dense.num_steps = vars / 2;
+    return alloc::make_problem(
+        workloads::random_lifetimes(11, dense), dense.num_steps, 1, activity,
+        workloads::random_activity(12, static_cast<std::size_t>(vars)));
+  };
+  out.push_back({"alloc_dense_r1", dense_block(256), 20});
+  alloc::AllocationProblem peak = dense_block(512);
+  peak.num_registers = peak.max_density();
+  out.push_back({"alloc_dense_peak", std::move(peak), 1});
+  return out;
+}
 
 /// Fixed-instance CI smoke. Everything is best-of-3 and deterministic;
 /// wall times vary with the machine but the metric *names* and solution
@@ -369,6 +423,65 @@ int run_smoke(const char* json_path) {
                          ms[3] / best_fixed,
                          "choice=" + netflow::to_string(auto_pick)});
     }
+  }
+
+  // Allocation graphs, solved as allocate() solves them: through
+  // solve_st_flow_robust with feasibility certification, one reused
+  // workspace per backend, best of 3 batches. kAuto's regret against
+  // the faster of SSP and simplex is gated in CI; every backend must
+  // reach the same objective.
+  constexpr BackendRun kAllocRuns[] = {
+      {"ssp", netflow::SolverKind::kSuccessiveShortestPaths},
+      {"simplex", netflow::SolverKind::kNetworkSimplex},
+      {"auto", netflow::SolverKind::kAuto},
+  };
+  for (const AllocClass& cls : allocation_classes()) {
+    const alloc::FlowGraphSpec spec = alloc::build_flow_graph(
+        cls.problem, alloc::GraphStyle::kDensityRegions);
+    const int registers = cls.problem.num_registers;
+    const std::string shape = "arcs=" +
+                              std::to_string(spec.graph.num_arcs()) +
+                              " registers=" + std::to_string(registers);
+    double ms[3] = {0, 0, 0};
+    netflow::Cost objective = 0;
+    std::string choice;
+    for (int r = 0; r < 3; ++r) {
+      netflow::SolverWorkspace alloc_ws;
+      netflow::SolveOptions options;
+      options.chain = {kAllocRuns[r].kind};
+      options.certify = netflow::CertifyLevel::kFeasible;
+      options.workspace = &alloc_ws;
+      for (int rep = 0; rep < 3; ++rep) {
+        netflow::SolveDiagnostics diag;
+        netflow::FlowSolution sol;
+        const auto t0 = SmokeClock::now();
+        for (int k = 0; k < cls.reps; ++k) {
+          sol = netflow::solve_st_flow_robust(spec.graph, spec.s, spec.t,
+                                              registers, options, &diag);
+        }
+        const double batch =
+            ns_between(t0, SmokeClock::now()) / 1e6 / cls.reps;
+        if (rep == 0 || batch < ms[r]) ms[r] = batch;
+        if (!sol.optimal()) {
+          std::fprintf(stderr, "smoke: %s failed on %s: %s\n",
+                       kAllocRuns[r].name, cls.name.c_str(),
+                       diag.summary().c_str());
+          return 1;
+        }
+        if (r > 0 && sol.cost != objective) {
+          std::fprintf(stderr, "smoke: %s objective differs from SSP on %s\n",
+                       kAllocRuns[r].name, cls.name.c_str());
+          return 1;
+        }
+        objective = sol.cost;
+        if (diag.auto_selected) choice = netflow::to_string(diag.auto_choice);
+      }
+      metrics.push_back(
+          {cls.name + "_" + kAllocRuns[r].name + "_ms", ms[r],
+           r == 2 ? shape + " choice=" + choice : shape});
+    }
+    metrics.push_back({cls.name + "_auto_regret",
+                       ms[2] / std::min(ms[0], ms[1]), "choice=" + choice});
   }
 
   for (const SmokeMetric& m : metrics) {

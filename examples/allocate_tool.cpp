@@ -9,10 +9,11 @@
 //     -l FILE       read a lifetime problem (problem_io format) instead
 //                   of a code kernel; -r/-p of the file take precedence
 //     --solver S    auto | ssp | simplex | cost-scaling | cycle-canceling
-//                   (default ssp): primary min-cost-flow backend; auto
-//                   picks per instance from its shape (netflow/select.hpp)
-//                   and the chosen backend appears in the solver
-//                   diagnostics line / CSV solver column
+//                   (default auto): primary min-cost-flow backend; auto
+//                   picks per instance (SSP up to 12 registers, network
+//                   simplex above; netflow/select.hpp) and the chosen
+//                   backend appears in the solver diagnostics line / CSV
+//                   solver column
 //     --threads N   engine worker threads (0 = all cores, 1 = sequential;
 //                   results are identical either way)
 //     --deadline-ms N  wall-clock budget for the whole run; overrunning

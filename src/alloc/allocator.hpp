@@ -17,9 +17,11 @@ namespace lera::alloc {
 
 struct AllocatorOptions {
   GraphStyle style = GraphStyle::kDensityRegions;
-  /// Primary min-cost-flow backend; SolverKind::kAuto defers the choice
-  /// to the shape-based selector (netflow/select.hpp) per instance.
-  netflow::SolverKind solver = netflow::SolverKind::kSuccessiveShortestPaths;
+  /// Primary min-cost-flow backend. The default, SolverKind::kAuto, asks
+  /// the selector (netflow/select.hpp) per instance: SSP while R <= 12,
+  /// network simplex above, so the chain below runs the other one as the
+  /// fallback.
+  netflow::SolverKind solver = netflow::SolverKind::kAuto;
   energy::Quantizer quantizer{};
   /// Certify the flow returned by the solver against the residual-cycle
   /// optimality condition (cheap; catches solver regressions). Even when

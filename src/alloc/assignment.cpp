@@ -43,6 +43,31 @@ std::string validate_assignment(const AllocationProblem& p,
   // A segment [start, end) occupies its register at boundaries
   // start..end-1. Segments of the same variable chained in one register
   // are contiguous, so the check naturally permits them.
+  //
+  // Fast path, O(s log s): when no two register-resident segments of one
+  // register overlap and every register id is below R, no boundary can
+  // hold a register twice or more than R live segments, so the sweep
+  // below would find nothing. Only an assignment that fails this runs
+  // the sweep, which words every finding.
+  struct Occupancy {
+    int reg, start, end;
+    auto operator<=>(const Occupancy&) const = default;
+  };
+  std::vector<Occupancy> occupancy;
+  bool clean = true;
+  for (std::size_t s = 0; s < p.segments.size() && clean; ++s) {
+    const lifetime::Segment& seg = p.segments[s];
+    if (!a.in_register(s) || seg.start >= seg.end) continue;
+    clean = a.location(s) < p.num_registers;
+    occupancy.push_back({a.location(s), seg.start, seg.end});
+  }
+  std::sort(occupancy.begin(), occupancy.end());
+  for (std::size_t i = 1; i < occupancy.size() && clean; ++i) {
+    clean = occupancy[i - 1].reg != occupancy[i].reg ||
+            occupancy[i - 1].end <= occupancy[i].start;
+  }
+  if (clean) return os.str();
+
   for (int b = 0; b <= p.num_steps; ++b) {
     std::set<int> occupied;
     int live_in_regs = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <utility>
+#include <vector>
 
 namespace lera::alloc {
 
@@ -179,14 +181,25 @@ EnergyBreakdown evaluate_energy(const AllocationProblem& p,
 }
 
 int memory_locations(const AllocationProblem& p, const Assignment& a) {
+  // Event sweep over boundaries 0..num_steps: a memory-resident segment
+  // [start, end) is live at boundaries start..end-1. At equal times an
+  // end (-1) sorts before a start (+1), so the running count never
+  // exceeds the count at a boundary.
+  std::vector<std::pair<int, int>> events;
+  for (std::size_t s = 0; s < p.segments.size(); ++s) {
+    if (a.in_register(s)) continue;
+    const Segment& seg = p.segments[s];
+    const int from = std::max(seg.start, 0);
+    const int to = std::min(seg.end, p.num_steps + 1);
+    if (from >= to) continue;
+    events.emplace_back(from, 1);
+    events.emplace_back(to, -1);
+  }
+  std::sort(events.begin(), events.end());
+  int resident = 0;
   int peak = 0;
-  for (int b = 0; b <= p.num_steps; ++b) {
-    int resident = 0;
-    for (std::size_t s = 0; s < p.segments.size(); ++s) {
-      if (a.in_register(s)) continue;
-      const Segment& seg = p.segments[s];
-      if (seg.start <= b && b < seg.end) ++resident;
-    }
+  for (const auto& [time, delta] : events) {
+    resident += delta;
     peak = std::max(peak, resident);
   }
   return peak;

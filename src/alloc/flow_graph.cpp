@@ -441,12 +441,8 @@ std::int64_t estimate_problem_footprint(const AllocationProblem& p,
   shape.nodes = static_cast<netflow::NodeId>(
       std::min<std::int64_t>(nodes, std::numeric_limits<netflow::NodeId>::max()));
   shape.arcs = arcs;
-  shape.arcs_per_node =
-      nodes > 0 ? static_cast<double>(arcs) / static_cast<double>(nodes) : 0;
-  // solve_st_flow adds +/-R at s/t: two supply nodes, volume R.
+  // solve_st_flow adds +/-R at s/t: volume R.
   shape.supply_volume = p.num_registers;
-  shape.supply_nodes = 2;
-  shape.negative_costs = true;  // Energy savings quantize negative.
 
   const std::int64_t spec_bytes =
       arcs * static_cast<std::int64_t>(sizeof(netflow::Arc) +

@@ -9,7 +9,6 @@ ActivityMatrix::ActivityMatrix(std::size_t n, double default_h,
     : n_(n),
       default_h_(default_h),
       initial_h_(initial_h),
-      h_(n * n, default_h),
       initial_(n, initial_h) {
   assert(default_h >= 0 && default_h <= 1);
   assert(initial_h >= 0 && initial_h <= 1);
@@ -18,6 +17,10 @@ ActivityMatrix::ActivityMatrix(std::size_t n, double default_h,
 void ActivityMatrix::set(std::size_t v1, std::size_t v2, double h) {
   assert(v1 < n_ && v2 < n_);
   assert(h >= 0 && h <= 1);
+  if (h_.empty()) {
+    if (h == default_h_) return;
+    h_.assign(n_ * n_, default_h_);
+  }
   if (h != default_h_) uniform_ = false;
   h_[v1 * n_ + v2] = h;
   h_[v2 * n_ + v1] = h;

@@ -25,10 +25,13 @@ class ActivityMatrix {
 
   double hamming(std::size_t v1, std::size_t v2) const {
     assert(v1 < n_ && v2 < n_);
-    return v1 == v2 ? 0.0 : h_[v1 * n_ + v2];
+    if (v1 == v2) return 0.0;
+    return h_.empty() ? default_h_ : h_[v1 * n_ + v2];
   }
 
-  /// Sets H(v1,v2) = H(v2,v1) = h (bit flips are symmetric).
+  /// Sets H(v1,v2) = H(v2,v1) = h (bit flips are symmetric). The n x n
+  /// table is only allocated by the first h that differs from the
+  /// default, so a uniform matrix costs O(n).
   void set(std::size_t v1, std::size_t v2, double h);
 
   double initial(std::size_t v) const {
@@ -61,7 +64,8 @@ class ActivityMatrix {
   double default_h_;
   double initial_h_;
   bool uniform_ = true;
-  std::vector<double> h_;
+  std::vector<double> h_;  ///< Row-major n x n; empty while all pairs
+                           ///< hold default_h_.
   std::vector<double> initial_;
 };
 

@@ -2,6 +2,7 @@
 
 #include "alloc/allocator.hpp"
 #include "alloc/exhaustive.hpp"
+#include "audit/fuzz.hpp"
 #include "sched/schedule.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/paper_examples.hpp"
@@ -296,6 +297,45 @@ TEST(Allocator, RspDensityMatchesPaperScale) {
   const AllocationResult r = allocate(p);
   ASSERT_TRUE(r.feasible) << r.message;
   expect_model_consistency(p, r);
+}
+
+// The default solver (kAuto) against a fixed SSP on both sides of the
+// selector's threshold: R = 12 runs SSP, R = 13 the network simplex.
+// Fuzz problems of both models, big enough that 13 registers still bind
+// on many of them: same feasibility, bit-equal objective, clean audit.
+TEST(Allocator, DefaultSolverMatchesSspAtTheThreshold) {
+  audit::DiffFuzzOptions fuzz;
+  fuzz.max_vars = 40;
+  fuzz.max_steps = 30;
+  int simplex_solves = 0;
+  int binding = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    AllocationProblem p = audit::fuzz_problem(seed, fuzz);
+    if (p.max_density() > 13) ++binding;
+    for (const int r : {12, 13}) {
+      p.num_registers = r;
+      AllocatorOptions ssp;
+      ssp.solver = netflow::SolverKind::kSuccessiveShortestPaths;
+      const AllocationResult want = allocate(p, ssp);
+      const AllocationResult got = allocate(p);
+      ASSERT_EQ(got.feasible, want.feasible)
+          << "seed " << seed << " R=" << r << ": " << got.message;
+      ASSERT_TRUE(got.solve_diagnostics.auto_selected);
+      EXPECT_EQ(got.solve_diagnostics.auto_choice,
+                r <= 12 ? netflow::SolverKind::kSuccessiveShortestPaths
+                        : netflow::SolverKind::kNetworkSimplex);
+      if (!got.feasible) continue;
+      if (r == 13) ++simplex_solves;
+      EXPECT_EQ(got.flow_cost, want.flow_cost) << "seed " << seed << " R=" << r;
+      EXPECT_EQ(got.model_energy, want.model_energy)
+          << "seed " << seed << " R=" << r;
+      const audit::AuditReport report = audit::audit_result(p, got);
+      EXPECT_TRUE(report.clean())
+          << "seed " << seed << " R=" << r << ": " << report.summary();
+    }
+  }
+  EXPECT_GT(simplex_solves, 150);
+  EXPECT_GT(binding, 50);
 }
 
 TEST(AllocateSweep, MatchesIndividualSolves) {

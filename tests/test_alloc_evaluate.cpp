@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <sstream>
+
+#include "alloc/allocator.hpp"
 #include "alloc/evaluate.hpp"
 #include "alloc/problem.hpp"
+#include "audit/fuzz.hpp"
 
 namespace lera::alloc {
 namespace {
@@ -192,6 +198,121 @@ TEST(Evaluate, ValidationCatchesOverlapAndCapacity) {
   Assignment c(2);
   c.assign_register(0, 0);
   EXPECT_TRUE(validate_assignment(p, c).empty());
+}
+
+/// validate_assignment as a loop over every boundary, kept as the
+/// reference for the sorted fast path.
+std::string validate_by_boundary(const AllocationProblem& p,
+                                 const Assignment& a) {
+  std::ostringstream os;
+  if (a.size() != p.segments.size()) {
+    return "assignment size does not match segment count";
+  }
+  for (std::size_t s = 0; s < p.segments.size(); ++s) {
+    const lifetime::Segment& seg = p.segments[s];
+    if (seg.forced_register && !a.in_register(s)) {
+      os << "forced segment of " << p.lifetimes[static_cast<std::size_t>(
+                seg.var)].name
+         << " [" << seg.start << "," << seg.end << "] is in memory; ";
+    }
+    if (seg.forbidden_register && a.in_register(s)) {
+      os << "register-barred segment of "
+         << p.lifetimes[static_cast<std::size_t>(seg.var)].name << " ["
+         << seg.start << "," << seg.end << "] is in a register; ";
+    }
+    if (a.in_register(s) && a.location(s) >= p.num_registers) {
+      os << "segment uses register " << a.location(s) << " but R="
+         << p.num_registers << "; ";
+    }
+  }
+  for (int b = 0; b <= p.num_steps; ++b) {
+    std::set<int> occupied;
+    int live_in_regs = 0;
+    for (std::size_t s = 0; s < p.segments.size(); ++s) {
+      if (!a.in_register(s)) continue;
+      const lifetime::Segment& seg = p.segments[s];
+      if (seg.start <= b && b < seg.end) {
+        ++live_in_regs;
+        if (!occupied.insert(a.location(s)).second) {
+          os << "register " << a.location(s)
+             << " holds two live segments at boundary " << b << "; ";
+        }
+      }
+    }
+    if (live_in_regs > p.num_registers) {
+      os << live_in_regs << " register-resident segments at boundary " << b
+         << " exceed R=" << p.num_registers << "; ";
+    }
+  }
+  return os.str();
+}
+
+/// memory_locations as a loop over every boundary, kept as the
+/// reference for the event sweep.
+int memory_locations_by_boundary(const AllocationProblem& p,
+                                 const Assignment& a) {
+  int peak = 0;
+  for (int b = 0; b <= p.num_steps; ++b) {
+    int resident = 0;
+    for (std::size_t s = 0; s < p.segments.size(); ++s) {
+      if (a.in_register(s)) continue;
+      const lifetime::Segment& seg = p.segments[s];
+      if (seg.start <= b && b < seg.end) ++resident;
+    }
+    peak = std::max(peak, resident);
+  }
+  return peak;
+}
+
+TEST(Evaluate, SortedChecksMatchTheBoundaryLoops) {
+  // Optimal assignments of fuzz problems (both models), then corrupted
+  // copies: a register id at or above R, a memory segment moved into a
+  // register, a segment spilled, and random placements.
+  audit::DiffFuzzOptions fuzz;
+  fuzz.max_vars = 16;
+  fuzz.max_steps = 20;
+  std::mt19937_64 rng(5);
+  int valid = 0;
+  int invalid = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    AllocationProblem p = audit::fuzz_problem(seed, fuzz);
+    const AllocationResult r = allocate(p);
+    if (!r.feasible) continue;
+    const int n = static_cast<int>(p.segments.size());
+    const auto pick = [&rng](int bound) {
+      return static_cast<int>(rng() % static_cast<std::uint64_t>(bound));
+    };
+    std::vector<Assignment> cases(5, r.assignment);
+    for (std::size_t s = 0; s < cases[1].size(); ++s) {
+      if (cases[1].in_register(s)) {
+        cases[1].assign_register(s, p.num_registers + pick(2));
+        break;
+      }
+    }
+    cases[2].assign_register(static_cast<std::size_t>(pick(n)),
+                             pick(p.num_registers));
+    cases[3].assign_memory(static_cast<std::size_t>(pick(n)));
+    for (std::size_t s = 0; s < cases[4].size(); ++s) {
+      const int loc = pick(p.num_registers + 2) - 1;
+      if (loc < 0) {
+        cases[4].assign_memory(s);
+      } else {
+        cases[4].assign_register(s, loc);
+      }
+    }
+    for (int registers : {p.num_registers, pick(p.num_registers + 1)}) {
+      p.num_registers = registers;
+      for (const Assignment& a : cases) {
+        const std::string want = validate_by_boundary(p, a);
+        ASSERT_EQ(validate_assignment(p, a), want) << "seed " << seed;
+        ++(want.empty() ? valid : invalid);
+        ASSERT_EQ(memory_locations(p, a), memory_locations_by_boundary(p, a))
+            << "seed " << seed;
+      }
+    }
+  }
+  EXPECT_GT(valid, 300);
+  EXPECT_GT(invalid, 600);
 }
 
 TEST(Evaluate, ForcedSegmentInMemoryIsInvalid) {

@@ -9,6 +9,8 @@
 
 #include "alloc/allocator.hpp"
 #include "netflow/netflow.hpp"
+#include "sched/schedule.hpp"
+#include "workloads/kernels.hpp"
 #include "workloads/random_gen.hpp"
 
 // The sparse hub encoding against the paper's dense graph. The hub chain
@@ -16,7 +18,8 @@
 // into the same register), so the two agree at the optimum, not path for
 // path (DESIGN.md §4): same feasibility and a bit-equal flow cost on
 // every instance, and the sparse optimum's model energy equals its
-// replayed static energy.
+// replayed static energy. The benchmark blocks regenerated here also pin
+// which backend the allocator's default picks on real allocation graphs.
 
 namespace lera::alloc {
 namespace {
@@ -177,6 +180,67 @@ TEST(SparseGraph, CompileLargeBlocksMatchTheDenseOptimumUnderEveryBackend) {
       EXPECT_TRUE(validate_assignment(p, r.assignment).empty());
     }
   }
+}
+
+/// The backend kAuto picks for \p p's allocation graph, from the shape
+/// solve_st_flow_robust measures (flow value R at s and t).
+netflow::SolverKind auto_choice(const AllocationProblem& p) {
+  const FlowGraphSpec spec = build_flow_graph(p, GraphStyle::kDensityRegions);
+  netflow::Graph g = spec.graph;
+  g.add_supply(spec.s, p.num_registers);
+  g.add_supply(spec.t, -p.num_registers);
+  return netflow::select_solver(netflow::measure_shape(g));
+}
+
+TEST(AutoSelection, PicksByRegisterCountOnAllocationGraphs) {
+  // The DSP kernel suite at the Engine's R = 4 under the activity model
+  // with measured activities: SSP, end to end through the default.
+  const ir::BasicBlock kernels[] = {
+      workloads::make_fir(12),         workloads::make_iir_biquad(),
+      workloads::make_elliptic_wave_filter(),
+      workloads::make_fft(4),          workloads::make_dct4(),
+      workloads::make_matmul(3),       workloads::make_conv3x3(),
+      workloads::make_lattice(6),      workloads::make_lms(6),
+      workloads::make_viterbi_acs(),   workloads::make_goertzel(8),
+      workloads::make_rsp(4)};
+  energy::EnergyParams activity;
+  activity.register_model = energy::RegisterModel::kActivity;
+  for (const ir::BasicBlock& bb : kernels) {
+    const AllocationProblem p = make_problem_from_block(
+        bb, sched::list_schedule(bb, sched::Resources{2, 1}), 4, activity,
+        workloads::random_inputs(bb, 32, 7));
+    const AllocationResult r = allocate(p);
+    ASSERT_TRUE(r.feasible) << r.message;
+    EXPECT_TRUE(r.solve_diagnostics.auto_selected);
+    EXPECT_EQ(r.solve_diagnostics.solver_used,
+              netflow::SolverKind::kSuccessiveShortestPaths)
+        << r.solve_diagnostics.summary();
+  }
+
+  // A dense 512-variable activity graph at R = 1. The shape-based policy
+  // calibrated on random flow graphs sent it to cost scaling (more than
+  // 65,536 arcs, supply below nodes/16).
+  workloads::RandomLifetimeOptions lopts;
+  lopts.num_vars = 512;
+  lopts.num_steps = 256;
+  const AllocationProblem dense = make_problem(
+      workloads::random_lifetimes(11, lopts), lopts.num_steps, 1, activity,
+      workloads::random_activity(12, 512));
+  ASSERT_FALSE(uses_sparse_encoding(dense));
+  EXPECT_EQ(auto_choice(dense), netflow::SolverKind::kSuccessiveShortestPaths);
+
+  // compile-large's blocks (R = 16-128): the simplex, also end to end.
+  for (const CompileBlock& b : kCompileBlocks) {
+    const AllocationProblem p = compile_block(b);
+    EXPECT_EQ(auto_choice(p), netflow::SolverKind::kNetworkSimplex)
+        << b.vars << "/" << b.index;
+  }
+  const AllocationResult r = allocate(compile_block(kCompileBlocks[0]));
+  ASSERT_TRUE(r.feasible) << r.message;
+  EXPECT_EQ(r.flow_cost, kCompileBlocks[0].dense_cost);
+  EXPECT_EQ(r.solve_diagnostics.solver_used,
+            netflow::SolverKind::kNetworkSimplex)
+      << r.solve_diagnostics.summary();
 }
 
 /// The chain walk assignment_from_flow replaced, kept as the reference

@@ -113,6 +113,43 @@ TEST(ActivityMatrix, DefaultsAndSymmetry) {
   EXPECT_DOUBLE_EQ(m.hamming(2, 0), 0.9);
 }
 
+TEST(ActivityMatrix, UniformMatrixStaysLinear) {
+  // Dense storage for 2^20 variables would be 8 TiB; a uniform matrix
+  // keeps only the initials.
+  const ActivityMatrix big(std::size_t{1} << 20, 0.25, 0.75);
+  EXPECT_TRUE(big.is_uniform());
+  EXPECT_DOUBLE_EQ(big.hamming(0, (1u << 20) - 1), 0.25);
+  EXPECT_DOUBLE_EQ(big.hamming(7, 7), 0.0);
+  EXPECT_DOUBLE_EQ(big.initial(12345), 0.75);
+
+  // Writing the default is a no-op; the first other value takes effect
+  // for that pair only, symmetrically, and ends uniformity.
+  ActivityMatrix m(4, 0.4, 0.6);
+  m.set(1, 2, 0.4);
+  EXPECT_TRUE(m.is_uniform());
+  m.set_initial(3, 0.6);
+  EXPECT_TRUE(m.is_uniform());
+  m.set(1, 3, 0.9);
+  EXPECT_FALSE(m.is_uniform());
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      const bool pair = (i == 1 && j == 3) || (i == 3 && j == 1);
+      EXPECT_DOUBLE_EQ(m.hamming(i, j), i == j ? 0.0 : pair ? 0.9 : 0.4)
+          << i << "," << j;
+    }
+  }
+  m.set(1, 3, 0.4);  // Back to the default: still not uniform.
+  EXPECT_DOUBLE_EQ(m.hamming(3, 1), 0.4);
+  EXPECT_FALSE(m.is_uniform());
+
+  // A differing initial ends uniformity without touching the pairs.
+  ActivityMatrix n(3, 0.5, 0.5);
+  n.set_initial(0, 0.1);
+  EXPECT_FALSE(n.is_uniform());
+  EXPECT_DOUBLE_EQ(n.initial(0), 0.1);
+  EXPECT_DOUBLE_EQ(n.hamming(0, 2), 0.5);
+}
+
 TEST(ActivityMatrix, FromTraceMeasuresMeanHamming) {
   // Two variables over two samples with known bit patterns.
   const std::vector<std::vector<std::int64_t>> trace = {

@@ -105,30 +105,33 @@ TEST(BackendDeterminism, ColdAndSharedWorkspaceBitIdentical) {
 TEST(AutoSelection, PolicyPinsOnCanonicalShapes) {
   InstanceShape shape;
 
-  // Small instance (the allocator's own graphs live here): simplex.
+  // A small flow value (a kernel's R = 4): SSP's one search per unit is
+  // cheap, whatever the graph size.
   shape.nodes = 64;
   shape.arcs = 200;
-  shape.supply_volume = 8;
-  EXPECT_EQ(select_solver(shape), SolverKind::kNetworkSimplex);
-
-  // Large + sparse + negative costs + low supply volume: cost scaling.
+  shape.supply_volume = 4;
+  EXPECT_EQ(select_solver(shape), SolverKind::kSuccessiveShortestPaths);
   shape.nodes = 40000;
-  shape.arcs = 160000;
-  shape.supply_volume = 100;  // well under nodes/16
-  shape.negative_costs = true;
-  EXPECT_EQ(select_solver(shape), SolverKind::kCostScaling);
+  shape.arcs = 190000;
+  shape.supply_volume = 1;
+  EXPECT_EQ(select_solver(shape), SolverKind::kSuccessiveShortestPaths);
 
-  // Same shape, high supply volume: simplex's pivot stream wins again.
-  shape.supply_volume = 40000;
+  // The threshold: SSP through R = 12, network simplex from R = 13.
+  shape.supply_volume = 12;
+  EXPECT_EQ(select_solver(shape), SolverKind::kSuccessiveShortestPaths);
+  shape.supply_volume = 13;
   EXPECT_EQ(select_solver(shape), SolverKind::kNetworkSimplex);
 
-  // Without negative costs SSP has no Bellman-Ford prologue to lose,
-  // but simplex still measured fastest: cost scaling needs the
-  // negative-cost regime to earn the large-sparse classes.
-  shape.supply_volume = 100;
-  shape.negative_costs = false;
+  // A compile-large block (R = 128) and a tiny graph with a large flow
+  // value: the simplex, whose pivots do not grow with R.
+  shape.nodes = 7960;
+  shape.arcs = 7436;
+  shape.supply_volume = 128;
   EXPECT_EQ(select_solver(shape), SolverKind::kNetworkSimplex);
-  shape.negative_costs = true;
+  shape.nodes = 12;
+  shape.arcs = 30;
+  shape.supply_volume = 40;
+  EXPECT_EQ(select_solver(shape), SolverKind::kNetworkSimplex);
 
   // A matching warm cache overrides everything: stay on SSP machinery.
   shape.warm_cache_match = true;
@@ -136,8 +139,8 @@ TEST(AutoSelection, PolicyPinsOnCanonicalShapes) {
   shape.warm_cache_match = false;
 
   // The selector never returns kAuto, whatever the shape.
-  for (std::int64_t arcs : {0, 10, 4096, 4097, 1000000}) {
-    shape.arcs = arcs;
+  for (Flow supply : {0, 1, 12, 13, 1000000}) {
+    shape.supply_volume = supply;
     EXPECT_NE(select_solver(shape), SolverKind::kAuto);
   }
 }
@@ -153,10 +156,7 @@ TEST(AutoSelection, MeasureShapeReadsTheInstance) {
   const InstanceShape shape = measure_shape(g);
   EXPECT_EQ(shape.nodes, 4);
   EXPECT_EQ(shape.arcs, 3);
-  EXPECT_DOUBLE_EQ(shape.arcs_per_node, 0.75);
   EXPECT_EQ(shape.supply_volume, 4);
-  EXPECT_EQ(shape.supply_nodes, 2);
-  EXPECT_TRUE(shape.negative_costs);
   EXPECT_FALSE(shape.warm_cache_match);  // Callers opt in.
   EXPECT_NE(shape.summary().find("nodes=4"), std::string::npos);
   EXPECT_NE(shape.summary().find("supply_volume=4"), std::string::npos);
@@ -226,9 +226,16 @@ TEST(AutoSelection, FixedChainsNeverAutoSelect) {
 
 // A matching warm cache flips the shape's warm_cache_match bit, so a
 // kAuto chain re-solve sticks to SSP even on shapes that would
-// otherwise route elsewhere (here: small => simplex without the cache).
+// otherwise route elsewhere (here: supply 16 > 12 => simplex without
+// the cache).
 TEST(AutoSelection, WarmCacheBiasesSelectionTowardSsp) {
-  const Graph g = solvable_instance(9);
+  workloads::RandomFlowOptions opts = options_for(2);
+  opts.supply = 16;
+  Graph g;
+  for (std::uint64_t seed = 9;; ++seed) {
+    g = workloads::random_flow_problem(seed, opts);
+    if (solve(g, SolverKind::kSuccessiveShortestPaths).optimal()) break;
+  }
   WarmStartCache cache;
   SolveOptions options;
   options.chain = {SolverKind::kAuto};
