@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       spec.graph, spec.s, spec.t, p.num_registers);
   const char* path = argc > 1 ? argv[1] : "figure1c_flow.dot";
   std::ofstream out(path);
-  report::write_dot(out, spec, &sol);
+  report::write_dot(out, p, spec, &sol);
   std::cout << "\nflow graph written to " << path
             << " (render with: dot -Tpng " << path << " -o flow.png)\n";
   return 0;

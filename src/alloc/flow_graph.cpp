@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <string>
 
 #include "netflow/membudget.hpp"
 #include "netflow/select.hpp"
@@ -117,24 +116,20 @@ class PeakIndex {
 };
 
 /// Nodes both encodings share: s, t and a w/r pair per segment, with
-/// room reserved for \p extra_nodes more.
+/// room reserved for \p extra_nodes more. Nodes are unnamed;
+/// report::write_dot labels them from the spec.
 void add_segment_nodes(const AllocationProblem& p, FlowGraphSpec& spec,
                        std::size_t extra_nodes) {
   const std::size_t num_segs = p.segments.size();
   spec.graph.reserve_nodes(
       static_cast<netflow::NodeId>(2 + 2 * num_segs + extra_nodes));
-  spec.s = spec.graph.add_node("s");
-  spec.t = spec.graph.add_node("t");
+  spec.s = spec.graph.add_node();
+  spec.t = spec.graph.add_node();
   spec.w_node.resize(num_segs);
   spec.r_node.resize(num_segs);
   for (std::size_t i = 0; i < num_segs; ++i) {
-    const Segment& seg = p.segments[i];
-    const std::string& var =
-        p.lifetimes[static_cast<std::size_t>(seg.var)].name;
-    spec.w_node[i] = spec.graph.add_node(
-        "w" + std::to_string(seg.index) + "(" + var + ")");
-    spec.r_node[i] = spec.graph.add_node(
-        "r" + std::to_string(seg.index) + "(" + var + ")");
+    spec.w_node[i] = spec.graph.add_node();
+    spec.r_node[i] = spec.graph.add_node();
   }
 }
 
@@ -228,7 +223,7 @@ FlowGraphSpec build_sparse_flow_graph(const AllocationProblem& p,
   add_segment_nodes(p, spec, num_hubs);
   spec.hub_node.resize(num_hubs);
   for (std::size_t k = 0; k < num_hubs; ++k) {
-    spec.hub_node[k] = spec.graph.add_node("h" + std::to_string(times[k]));
+    spec.hub_node[k] = spec.graph.add_node();
   }
   const auto hub = [&](int time) {
     return spec.hub_node[static_cast<std::size_t>(

@@ -70,8 +70,8 @@ MemoryLayout optimize_memory_layout(const AllocationProblem& p,
 
   // Min-cost flow: one unit per address, chained through the runs.
   netflow::Graph g;
-  const netflow::NodeId s = g.add_node("s");
-  const netflow::NodeId t = g.add_node("t");
+  const netflow::NodeId s = g.add_node();
+  const netflow::NodeId t = g.add_node();
   std::vector<netflow::NodeId> w_node(runs.size());
   std::vector<netflow::NodeId> r_node(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {

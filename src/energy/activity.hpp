@@ -52,9 +52,15 @@ class ActivityMatrix {
   double uniform_initial() const { return initial_h_; }
 
   /// Measures activities from a value trace: \p trace[s][i] is variable
-  /// i's value in sample s, \p widths[i] its bit width. H(i,j) is the
-  /// mean Hamming distance fraction across samples; initial(i) the mean
-  /// weight of i's own bits (register assumed cleared beforehand).
+  /// i's value in sample s, \p widths[i] its bit width (1..64). H(i,j) is
+  /// the total number of flipped bits between i and j over the trace,
+  /// counted in the low width = max(widths[i], widths[j]) bits, divided
+  /// by width * samples; initial(i) is the same count taken against 0
+  /// (register assumed cleared beforehand). Bits are summed as integers
+  /// and divided once, so for power-of-two widths H is bit-identical to
+  /// the mean of the per-sample hamming_fraction values, and for other
+  /// widths it is that mean correctly rounded. An empty trace or n = 0
+  /// keeps the defaults.
   static ActivityMatrix from_trace(
       const std::vector<std::vector<std::int64_t>>& trace,
       const std::vector<int>& widths);

@@ -20,11 +20,6 @@ std::int64_t wrap(std::int64_t x, int width) {
   return static_cast<std::int64_t>(u);
 }
 
-std::int64_t apply(Opcode opcode, const std::vector<std::int64_t>& in,
-                   int width) {
-  return apply_opcode(opcode, in, width);
-}
-
 }  // namespace
 
 std::int64_t apply_opcode(Opcode opcode, const std::vector<std::int64_t>& in,
@@ -51,6 +46,7 @@ std::int64_t apply_opcode(Opcode opcode, const std::vector<std::int64_t>& in,
 std::vector<std::int64_t> evaluate(const BasicBlock& bb,
                                    const std::vector<std::int64_t>& inputs) {
   std::vector<std::int64_t> env(bb.num_values(), 0);
+  std::vector<std::int64_t> in;  // Operand buffer, reused by every op.
   std::size_t next_input = 0;
   for (const Operation& op : bb.ops()) {
     switch (op.opcode) {
@@ -69,13 +65,12 @@ std::vector<std::int64_t> evaluate(const BasicBlock& bb,
       case Opcode::kOutput:
         break;
       default: {
-        std::vector<std::int64_t> in;
-        in.reserve(op.operands.size());
+        in.clear();
         for (ValueId operand : op.operands) {
           in.push_back(env[static_cast<std::size_t>(operand)]);
         }
         env[static_cast<std::size_t>(op.result)] =
-            apply(op.opcode, in, bb.value(op.result).width);
+            apply_opcode(op.opcode, in, bb.value(op.result).width);
         break;
       }
     }

@@ -30,8 +30,10 @@ CheckResult check_feasible(const Graph& g, const std::vector<Flow>& flow) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (balance[static_cast<std::size_t>(v)] != g.supply(v)) {
       std::ostringstream os;
-      os << "node " << v << " (" << g.node_name(v) << ") imbalance: outflow-"
-         << "inflow=" << balance[static_cast<std::size_t>(v)] << " supply="
+      os << "node " << v;
+      if (!g.node_name(v).empty()) os << " (" << g.node_name(v) << ")";
+      os << " imbalance: outflow-inflow="
+         << balance[static_cast<std::size_t>(v)] << " supply="
          << g.supply(v);
       return {false, os.str()};
     }

@@ -1,15 +1,48 @@
 #include "report/dot.hpp"
 
 #include <ostream>
+#include <string>
+#include <vector>
 
 namespace lera::report {
 
-void write_dot(std::ostream& os, const alloc::FlowGraphSpec& spec,
+namespace {
+
+/// One label per node of \p spec, which builds every node unnamed.
+std::vector<std::string> node_labels(const alloc::AllocationProblem& p,
+                                     const alloc::FlowGraphSpec& spec) {
+  std::vector<std::string> labels(
+      static_cast<std::size_t>(spec.graph.num_nodes()));
+  const auto label = [&](netflow::NodeId v) -> std::string& {
+    return labels[static_cast<std::size_t>(v)];
+  };
+  label(spec.s) = "s";
+  label(spec.t) = "t";
+  for (std::size_t i = 0; i < p.segments.size(); ++i) {
+    const lifetime::Segment& seg = p.segments[i];
+    const std::string suffix =
+        std::to_string(seg.index) + "(" +
+        p.lifetimes[static_cast<std::size_t>(seg.var)].name + ")";
+    label(spec.w_node[i]) = "w" + suffix;
+    label(spec.r_node[i]) = "r" + suffix;
+  }
+  for (std::size_t k = 0; k < spec.hub_node.size(); ++k) {
+    label(spec.hub_node[k]) = "h" + std::to_string(spec.hub_time[k]);
+  }
+  return labels;
+}
+
+}  // namespace
+
+void write_dot(std::ostream& os, const alloc::AllocationProblem& p,
+               const alloc::FlowGraphSpec& spec,
                const netflow::FlowSolution* solution) {
   const netflow::Graph& g = spec.graph;
+  const std::vector<std::string> labels = node_labels(p, spec);
   os << "digraph flow {\n  rankdir=TB;\n  node [shape=circle];\n";
   for (netflow::NodeId v = 0; v < g.num_nodes(); ++v) {
-    os << "  n" << v << " [label=\"" << g.node_name(v) << "\"];\n";
+    os << "  n" << v << " [label=\"" << labels[static_cast<std::size_t>(v)]
+       << "\"];\n";
   }
   for (netflow::ArcId a = 0; a < g.num_arcs(); ++a) {
     const netflow::Arc& arc = g.arc(a);

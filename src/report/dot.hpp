@@ -13,9 +13,13 @@
 
 namespace lera::report {
 
-/// Writes \p spec as a DOT digraph. If \p solution is non-null, arcs
-/// carrying flow are coloured and labelled with it.
-void write_dot(std::ostream& os, const alloc::FlowGraphSpec& spec,
+/// Writes \p spec, the flow graph of \p p, as a DOT digraph. Nodes are
+/// labelled from the spec and \p p: s, t, w<k>(<var>) and r<k>(<var>)
+/// for segment k of a variable, and h<time> for a sparse graph's hubs.
+/// If \p solution is non-null, arcs carrying flow are coloured and
+/// labelled with it.
+void write_dot(std::ostream& os, const alloc::AllocationProblem& p,
+               const alloc::FlowGraphSpec& spec,
                const netflow::FlowSolution* solution = nullptr);
 
 }  // namespace lera::report

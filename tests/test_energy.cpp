@@ -1,9 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+
+#include "alloc/problem.hpp"
 #include "energy/activity.hpp"
 #include "energy/params.hpp"
 #include "energy/quantize.hpp"
 #include "energy/voltage.hpp"
+#include "ir/eval.hpp"
+#include "sched/schedule.hpp"
+#include "workloads/kernels.hpp"
 
 namespace lera::energy {
 namespace {
@@ -166,6 +177,172 @@ TEST(ActivityMatrix, EmptyTraceFallsBackToDefaults) {
   const ActivityMatrix m = ActivityMatrix::from_trace({}, {16, 16});
   EXPECT_DOUBLE_EQ(m.hamming(0, 1), 0.5);
   EXPECT_DOUBLE_EQ(m.initial(0), 0.5);
+}
+
+using Trace = std::vector<std::vector<std::int64_t>>;
+
+/// from_trace as a per-sample double sum of Hamming fractions, divided
+/// by the sample count: the reference the packed kernel must match.
+ActivityMatrix reference_from_trace(const Trace& trace,
+                                    const std::vector<int>& widths) {
+  const std::size_t n = widths.size();
+  ActivityMatrix m(n, 0.5, 0.5);
+  if (trace.empty() || n == 0) return m;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    double own = 0;
+    for (const auto& sample : trace) {
+      own += hamming_fraction(sample[i], 0, widths[i]);
+    }
+    m.set_initial(i, own / static_cast<double>(trace.size()));
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const int width = std::max(widths[i], widths[j]);
+      double acc = 0;
+      for (const auto& sample : trace) {
+        acc += hamming_fraction(sample[i], sample[j], width);
+      }
+      m.set(i, j, acc / static_cast<double>(trace.size()));
+    }
+  }
+  return m;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Every H(i, j) and initial(i) of \p got bit-equal to \p want's.
+::testing::AssertionResult BitEqual(const ActivityMatrix& got,
+                                    const ActivityMatrix& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (!same_bits(got.initial(i), want.initial(i))) {
+      return ::testing::AssertionFailure()
+             << "initial(" << i << ") " << got.initial(i)
+             << " != " << want.initial(i);
+    }
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      if (!same_bits(got.hamming(i, j), want.hamming(i, j))) {
+        return ::testing::AssertionFailure()
+               << "H(" << i << "," << j << ") " << got.hamming(i, j)
+               << " != " << want.hamming(i, j);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// \p samples rows of \p n full-range 64-bit values.
+Trace random_trace(std::size_t samples, std::size_t n, std::mt19937_64& rng) {
+  Trace trace(samples, std::vector<std::int64_t>(n));
+  for (auto& row : trace) {
+    for (auto& v : row) v = static_cast<std::int64_t>(rng());
+  }
+  return trace;
+}
+
+TEST(ActivityMatrix, FromTraceMatchesReference) {
+  // The 27 pipeline-kernels tasks, through make_problem_from_block's
+  // trace path, at 10 trace seeds: bit-equal to the reference.
+  std::vector<ir::BasicBlock> kernels;
+  for (int n : {6, 8, 10, 12}) kernels.push_back(workloads::make_fir(n));
+  kernels.push_back(workloads::make_iir_biquad());
+  kernels.push_back(workloads::make_elliptic_wave_filter());
+  kernels.push_back(workloads::make_fft_butterfly());
+  kernels.push_back(workloads::make_fft(4));
+  kernels.push_back(workloads::make_dct4());
+  for (int n : {2, 3}) kernels.push_back(workloads::make_matmul(n));
+  kernels.push_back(workloads::make_conv3x3());
+  for (int n : {3, 4, 5, 6}) kernels.push_back(workloads::make_lattice(n));
+  for (int n : {3, 4, 5, 6}) kernels.push_back(workloads::make_lms(n));
+  kernels.push_back(workloads::make_viterbi_acs());
+  for (int n : {4, 6, 8}) kernels.push_back(workloads::make_goertzel(n));
+  for (int n : {2, 3, 4}) kernels.push_back(workloads::make_rsp(n));
+  ASSERT_EQ(kernels.size(), 27u);
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+      const ir::BasicBlock& bb = kernels[k];
+      std::size_t inputs = 0;
+      for (const ir::Operation& op : bb.ops()) {
+        if (op.opcode == ir::Opcode::kInput) ++inputs;
+      }
+      std::mt19937_64 rng(seed * 1000 + k);
+      std::uniform_int_distribution<std::int64_t> dist(-32768, 32767);
+      Trace rows(32, std::vector<std::int64_t>(inputs));
+      for (auto& row : rows) {
+        for (auto& v : row) v = dist(rng);
+      }
+      const alloc::AllocationProblem p = alloc::make_problem_from_block(
+          bb, sched::list_schedule(bb, {2, 1}), 4, EnergyParams{}, rows);
+      const Trace full = ir::evaluate_trace(bb, rows);
+      Trace var_trace(full.size());
+      std::vector<int> widths;
+      for (const lifetime::Lifetime& lt : p.lifetimes) {
+        widths.push_back(lt.width);
+        for (std::size_t s = 0; s < full.size(); ++s) {
+          var_trace[s].push_back(full[s][static_cast<std::size_t>(lt.value)]);
+        }
+      }
+      ASSERT_GT(widths.size(), 1u);
+      EXPECT_TRUE(BitEqual(p.activity, reference_from_trace(var_trace, widths)))
+          << "kernel " << k << " seed " << seed;
+    }
+  }
+
+  // Power-of-two widths, alone and mixed, over 1..130 samples (past
+  // every chunk the kernel folds at): bit-equal, on random values and on
+  // values that differ in every bit, which fill every count lane.
+  std::mt19937_64 rng(17);
+  const std::vector<std::vector<int>> exact_widths = {
+      {8, 8, 8, 8, 8},      {16, 16, 16, 16, 16}, {32, 32, 32, 32, 32},
+      {64, 64, 64, 64, 64}, {8, 64, 16, 32, 8},   {16, 8, 16, 32, 16}};
+  for (const std::vector<int>& widths : exact_widths) {
+    for (std::size_t samples = 1; samples <= 130; ++samples) {
+      const Trace trace = random_trace(samples, widths.size(), rng);
+      EXPECT_TRUE(BitEqual(ActivityMatrix::from_trace(trace, widths),
+                           reference_from_trace(trace, widths)))
+          << "widths[0] " << widths[0] << ", " << samples << " samples";
+      const Trace full_swing(samples, {-1, 0, -1, 0, -1});
+      EXPECT_TRUE(BitEqual(ActivityMatrix::from_trace(full_swing, widths),
+                           reference_from_trace(full_swing, widths)))
+          << "widths[0] " << widths[0] << ", " << samples
+          << " full-swing samples";
+    }
+  }
+
+  // Other widths: the reference rounds every per-sample term, the
+  // kernel only its one division.
+  const auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-12 * std::abs(want);
+  };
+  for (int w = 1; w <= 64; ++w) {
+    if (std::has_single_bit(static_cast<unsigned>(w))) continue;
+    const std::vector<int> widths = {w, w, std::max(1, w / 3), w};
+    for (std::size_t samples : {1, 7, 31, 32, 33, 62, 63, 100, 124, 125, 130}) {
+      const Trace trace = random_trace(samples, widths.size(), rng);
+      const ActivityMatrix got = ActivityMatrix::from_trace(trace, widths);
+      const ActivityMatrix want = reference_from_trace(trace, widths);
+      for (std::size_t i = 0; i < widths.size(); ++i) {
+        EXPECT_TRUE(near(got.initial(i), want.initial(i)))
+            << "width " << w << ", " << samples << " samples, initial " << i;
+        for (std::size_t j = i + 1; j < widths.size(); ++j) {
+          EXPECT_TRUE(near(got.hamming(i, j), want.hamming(i, j)))
+              << "width " << w << ", " << samples << " samples, H(" << i
+              << "," << j << ")";
+        }
+      }
+    }
+  }
+
+  // An empty trace, or no variables, keeps the defaults.
+  const ActivityMatrix empty = ActivityMatrix::from_trace({}, {16, 8});
+  EXPECT_TRUE(empty.is_uniform());
+  EXPECT_TRUE(BitEqual(empty, ActivityMatrix(2)));
+  EXPECT_EQ(ActivityMatrix::from_trace(random_trace(3, 0, rng), {}).size(),
+            0u);
 }
 
 }  // namespace

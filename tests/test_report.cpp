@@ -55,7 +55,7 @@ TEST(Dot, EmitsAllNodesAndArcs) {
   const alloc::FlowGraphSpec spec =
       alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
   std::ostringstream os;
-  write_dot(os, spec);
+  write_dot(os, p, spec);
   const std::string out = os.str();
   EXPECT_NE(out.find("digraph flow"), std::string::npos);
   EXPECT_NE(out.find("\"s\""), std::string::npos);
@@ -78,7 +78,7 @@ TEST(Dot, HighlightsFlow) {
       spec.graph, spec.s, spec.t, p.num_registers);
   ASSERT_TRUE(sol.optimal());
   std::ostringstream os;
-  write_dot(os, spec, &sol);
+  write_dot(os, p, spec, &sol);
   EXPECT_NE(os.str().find("color=red"), std::string::npos);
 }
 
