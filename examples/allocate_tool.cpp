@@ -8,7 +8,7 @@
 //     -g GRAPH      density | allpairs (default density)
 //     -l FILE       read a lifetime problem (problem_io format) instead
 //                   of a code kernel; -r/-p of the file take precedence
-//     --solver S    auto | ssp | simplex | cost-scaling | cycle-canceling
+//     --solver S    auto | ssp | simplex | cycle-canceling
 //                   (default auto): primary min-cost-flow backend; auto
 //                   picks per instance (SSP up to 12 registers, network
 //                   simplex above; netflow/select.hpp) and the chosen
@@ -211,13 +211,11 @@ int main(int argc, char** argv) {
         alloc_opts.solver = netflow::SolverKind::kSuccessiveShortestPaths;
       } else if (name == "simplex") {
         alloc_opts.solver = netflow::SolverKind::kNetworkSimplex;
-      } else if (name == "cost-scaling") {
-        alloc_opts.solver = netflow::SolverKind::kCostScaling;
       } else if (name == "cycle-canceling") {
         alloc_opts.solver = netflow::SolverKind::kCycleCanceling;
       } else {
-        std::cerr << "error: --solver expects auto|ssp|simplex|"
-                     "cost-scaling|cycle-canceling, got '"
+        std::cerr << "error: --solver expects "
+                     "auto|ssp|simplex|cycle-canceling, got '"
                   << name << "'\n";
         return 1;
       }
@@ -266,7 +264,7 @@ int main(int argc, char** argv) {
     } else if (arg == "-h" || arg == "--help") {
       std::cout << "usage: allocate_tool [file.lera...] [-r N] [-p N] "
                    "[-m static|activity] [-g density|allpairs] "
-                   "[--solver auto|ssp|simplex|cost-scaling|cycle-canceling] "
+                   "[--solver auto|ssp|simplex|cycle-canceling] "
                    "[--threads N] [--deadline-ms N] "
                    "[--max-bytes N] [--audit off|legality|full] "
                    "[--pipeline] [--explore] [--perf] [--cache] "

@@ -137,13 +137,12 @@ AllocationResult allocate_with_spec(const AllocationProblem& p,
 
 namespace {
 
-/// allocate_with_spec plus the graceful-degradation contract: when the flow
-/// path fails and the caller opted in, fall back to the two-phase
+/// The graceful-degradation contract: when the flow path failed (\p result
+/// is not feasible) and the caller opted in, fall back to the two-phase
 /// baseline and record the downgrade instead of failing outright.
-AllocationResult solve_or_degrade(const AllocationProblem& p,
-                                  const FlowGraphSpec& spec,
-                                  const AllocatorOptions& options) {
-  AllocationResult result = allocate_with_spec(p, spec, options);
+AllocationResult degrade_on_failure(const AllocationProblem& p,
+                                    const AllocatorOptions& options,
+                                    AllocationResult result) {
   // A cancelled request is never degraded: the caller withdrew it, so
   // spending baseline time on an answer nobody wants would be waste.
   if (result.feasible || result.cancelled || !options.fallback_to_baseline) {
@@ -184,26 +183,13 @@ AllocationResult allocate(const AllocationProblem& p,
   try {
     const FlowGraphSpec spec =
         build_flow_graph(p, options.style, options.quantizer);
-    return solve_or_degrade(p, spec, options);
+    return degrade_on_failure(p, options,
+                              allocate_with_spec(p, spec, options));
   } catch (const std::bad_alloc&) {
     result.memory_exceeded = true;
     result.message = "allocation failed building the flow graph (out of memory)";
   }
-  if (options.fallback_to_baseline) {
-    TwoPhaseOptions baseline;
-    baseline.solver = options.solver;
-    baseline.quantizer = options.quantizer;
-    AllocationResult fallback = two_phase_allocate(p, baseline);
-    if (fallback.feasible) {
-      fallback.degraded = true;
-      fallback.memory_exceeded = true;
-      fallback.message =
-          "degraded to two-phase baseline (" + result.message + ")";
-      return fallback;
-    }
-    result.message += "; two-phase fallback also failed: " + fallback.message;
-  }
-  return result;
+  return degrade_on_failure(p, options, std::move(result));
 }
 
 std::vector<AllocationResult> allocate_sweep(
@@ -237,7 +223,8 @@ std::vector<AllocationResult> allocate_sweep(
   }
   for (int registers : register_counts) {
     working.num_registers = registers;
-    results.push_back(solve_or_degrade(working, spec, options));
+    results.push_back(degrade_on_failure(
+        working, options, allocate_with_spec(working, spec, options)));
   }
   return results;
 }

@@ -23,7 +23,6 @@ namespace {
 ///   SSP           NodeState/pi/excess per node, heap bounded by 2m
 ///   simplex       SoA arrays over m+n arcs (artificial root arcs
 ///                 included) + 8 per-node tree arrays
-///   cost scaling  scaled costs per residual edge + 6 node arrays
 ///   cycle cancel  its own augmented residual (m+n arcs) + BF arrays
 constexpr std::int64_t kSlack = 4096;  ///< vectors round up; keep a floor
 
@@ -69,16 +68,6 @@ std::int64_t simplex_bytes(std::int64_t n, std::int64_t m) {
               static_cast<std::int64_t>(sizeof(NodeId)));
 }
 
-std::int64_t cost_scaling_bytes(std::int64_t n, std::int64_t m) {
-  return 2 * m * static_cast<std::int64_t>(sizeof(Cost)) +  // scaled_cost
-         n * (2 * static_cast<std::int64_t>(sizeof(Cost)) +  // pi, refine
-              static_cast<std::int64_t>(sizeof(Flow)) +      // excess
-              static_cast<std::int64_t>(sizeof(std::int32_t)) +  // current
-              static_cast<std::int64_t>(sizeof(NodeId)) +        // active
-              static_cast<std::int64_t>(sizeof(char)) +          // in_queue
-              static_cast<std::int64_t>(sizeof(std::int32_t)));  // path
-}
-
 std::int64_t cycle_cancel_bytes(std::int64_t n, std::int64_t m) {
   // Builds an augmented graph (one extra node, m+n arcs) plus its own
   // residual and the Bellman-Ford arrays.
@@ -104,11 +93,6 @@ std::int64_t estimate_solver_bytes(const InstanceShape& shape,
     case SolverKind::kNetworkSimplex:
       scratch = simplex_bytes(n, m);
       break;
-    case SolverKind::kCostScaling:
-      // Cost scaling discharges over the residual and seeds potentials
-      // through the SSP machinery's arrays.
-      scratch = cost_scaling_bytes(n, m) + ssp_bytes(n, m);
-      break;
     case SolverKind::kCycleCanceling:
       scratch = cycle_cancel_bytes(n, m);
       break;
@@ -122,7 +106,7 @@ std::int64_t estimate_footprint(const InstanceShape& shape) {
   std::int64_t worst = 0;
   for (const SolverKind kind :
        {SolverKind::kSuccessiveShortestPaths, SolverKind::kNetworkSimplex,
-        SolverKind::kCostScaling, SolverKind::kCycleCanceling}) {
+        SolverKind::kCycleCanceling}) {
     worst = std::max(worst, estimate_solver_bytes(shape, kind));
   }
   return worst;

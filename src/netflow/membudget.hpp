@@ -232,8 +232,9 @@ std::int64_t estimate_solver_bytes(const InstanceShape& shape,
                                    SolverKind kind);
 
 /// Footprint bound for a robust solve of \p shape: the maximum of
-/// estimate_solver_bytes over the backends the default chain can reach.
-/// This is what admission control compares against a per-solve cap.
+/// estimate_solver_bytes over every backend, cycle canceling included,
+/// so any chain fits. This is what admission control compares against a
+/// per-solve cap.
 std::int64_t estimate_footprint(const InstanceShape& shape);
 
 }  // namespace lera::netflow

@@ -14,8 +14,6 @@ namespace lera::netflow {
 
 std::string to_string(CertifyLevel level) {
   switch (level) {
-    case CertifyLevel::kNone:
-      return "none";
     case CertifyLevel::kFeasible:
       return "feasible";
     case CertifyLevel::kOptimal:
@@ -158,7 +156,6 @@ std::vector<SolverKind> effective_chain(const Graph& g,
 /// answer passes, otherwise false with the reason in \p why.
 bool certify_answer(const Graph& g, const FlowSolution& sol,
                     CertifyLevel level, std::string& why) {
-  if (level == CertifyLevel::kNone) return true;
   const CheckResult feasible = check_feasible(g, sol.arc_flow);
   if (!feasible.ok) {
     why = "not a feasible b-flow: " + feasible.message;
@@ -354,9 +351,9 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
 
   // Warm start: when the cache holds a prior optimal flow for this very
   // topology, repair it for the new costs/capacities instead of solving
-  // cold. The warm answer is always certified (at least kFeasible) so a
-  // stale or wrong cache entry falls back to the cold chain instead of
-  // leaking through.
+  // cold. The warm answer is certified like a cold one, so a stale or
+  // wrong cache entry falls back to the cold chain instead of leaking
+  // through.
   if (options.warm_cache != nullptr && options.warm_cache->matches(g)) {
     diag.warm_start_attempted = true;
     const double remaining = options.deadline.remaining_seconds();
@@ -375,11 +372,8 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
         return cancelled_verdict();
       }
       if (sol.status == SolveStatus::kOptimal) {
-        const CertifyLevel level = options.certify == CertifyLevel::kNone
-                                       ? CertifyLevel::kFeasible
-                                       : options.certify;
         std::string why;
-        if (certify_timed(sol, level, why)) {
+        if (certify_timed(sol, options.certify, why)) {
           attempt.certified = true;
           diag.attempts.push_back(attempt);
           diag.solver_used = SolverKind::kSuccessiveShortestPaths;
@@ -434,13 +428,11 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
       case SolveStatus::kOptimal: {
         std::string why;
         if (certify_timed(sol, options.certify, why)) {
-          attempt.certified = options.certify != CertifyLevel::kNone;
+          attempt.certified = true;
           diag.attempts.push_back(attempt);
           diag.solver_used = kind;
           diag.fallbacks_taken = static_cast<int>(diag.attempts.size()) - 1;
-          diag.certification = options.certify == CertifyLevel::kNone
-                                   ? CertificationVerdict::kNotRun
-                                   : CertificationVerdict::kPassed;
+          diag.certification = CertificationVerdict::kPassed;
           diag.message = "optimal via " + to_string(kind) +
                          (diag.fallbacks_taken > 0
                               ? " after " +
@@ -466,7 +458,7 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
       case SolveStatus::kInfeasible: {
         ++infeasible_votes;
         diag.attempts.push_back(attempt);
-        if (options.certify == CertifyLevel::kNone || infeasible_votes >= 2) {
+        if (infeasible_votes >= 2) {
           diag.fallbacks_taken = static_cast<int>(diag.attempts.size()) - 1;
           diag.message = "infeasible (confirmed by " +
                          std::to_string(infeasible_votes) + " solver(s))";

@@ -25,7 +25,6 @@ namespace lera::netflow {
 
 /// How much of validate.hpp to run on every accepted answer.
 enum class CertifyLevel {
-  kNone,      ///< Trust the solver (fastest; test/bench only).
   kFeasible,  ///< check_feasible + exact cost recomputation.
   kOptimal,   ///< kFeasible plus the residual negative-cycle certificate.
 };
@@ -46,9 +45,9 @@ struct SolveOptions {
   /// Per-attempt iteration budget (0 = unlimited); see SolveGuard.
   std::int64_t max_iterations_per_solver = 0;
   /// Certification applied to every optimal answer before accepting it.
-  /// Unless it is kNone, an infeasible verdict also needs a second
-  /// solver's confirmation (when the chain has one): a buggy solver can
-  /// report infeasible just as it can report a wrong optimum.
+  /// An infeasible verdict also needs a second solver's confirmation
+  /// (when the chain has one): a buggy solver can report infeasible just
+  /// as it can report a wrong optimum.
   CertifyLevel certify = CertifyLevel::kOptimal;
 
   /// Cooperative cancellation: observed between attempts and, through
@@ -78,10 +77,10 @@ struct SolveOptions {
   SolverWorkspace* workspace = nullptr;
   /// Optional warm-start cache (warm.hpp). When the cache holds a prior
   /// optimal flow for this topology, a warm resolve is attempted before
-  /// the solver chain; its answer is ALWAYS certified (at least
-  /// kFeasible, even under CertifyLevel::kNone), and any failure falls
-  /// back to the cold chain. Certified optimal answers — warm or cold —
-  /// refresh the cache. Never owned; single solve stream at a time.
+  /// the solver chain; its answer is certified like a cold one, and any
+  /// failure falls back to the cold chain. Certified optimal answers —
+  /// warm or cold — refresh the cache. Never owned; single solve stream
+  /// at a time.
   WarmStartCache* warm_cache = nullptr;
 
   /// Test-only seam: invoked on every solver answer that claims
@@ -117,7 +116,7 @@ struct SolveAttempt {
 
 /// Verdict of the certification layer over the whole robust solve.
 enum class CertificationVerdict {
-  kNotRun,  ///< CertifyLevel::kNone, or no optimal answer to certify.
+  kNotRun,  ///< No optimal answer to certify.
   kPassed,  ///< The returned answer passed every configured check.
   kFailed,  ///< Every solver's answer failed certification.
 };

@@ -14,8 +14,7 @@ namespace {
 /// simplex won every compile-large block (R = 16-128) and all 19 serve
 /// graphs at R >= 13. The random blocks cross over at R = 8-30. Under
 /// this rule the geometric-mean regret against the faster of the two is
-/// 1.008. Cost scaling was fastest on 27 of the 458 graphs, all at or
-/// near the peak density, which the shape cannot see.
+/// 1.008.
 constexpr Flow kSspMaxSupply = 12;
 
 }  // namespace

@@ -35,8 +35,6 @@ std::string to_string(SolverKind kind) {
       return "cycle-canceling";
     case SolverKind::kNetworkSimplex:
       return "network-simplex";
-    case SolverKind::kCostScaling:
-      return "cost-scaling";
     case SolverKind::kAuto:
       return "auto";
   }
@@ -50,34 +48,6 @@ FlowSolution budget_exceeded(SolverKind kind) {
   out.status = SolveStatus::kBudgetExceeded;
   out.message = to_string(kind) + ": iteration/time budget exhausted";
   return out;
-}
-
-namespace {
-
-constexpr SolverBackend kBackends[] = {
-    {SolverKind::kSuccessiveShortestPaths, "ssp", run_ssp},
-    {SolverKind::kCycleCanceling, "cycle-canceling", run_cycle_canceling},
-    {SolverKind::kNetworkSimplex, "simplex", run_network_simplex},
-    {SolverKind::kCostScaling, "cost-scaling", run_cost_scaling},
-};
-
-/// Resolves a null workspace to a throwaway local arena for solve().
-FlowSolution run_backend(const SolverBackend& backend, const Graph& g,
-                         SolveGuard* guard, SolverWorkspace* ws) {
-  if (ws != nullptr) return backend.fn(g, guard, *ws);
-  SolverWorkspace local;
-  return backend.fn(g, guard, local);
-}
-
-}  // namespace
-
-std::span<const SolverBackend> solver_backends() { return kBackends; }
-
-const SolverBackend* find_backend(SolverKind kind) {
-  for (const SolverBackend& b : kBackends) {
-    if (b.kind == kind) return &b;
-  }
-  return nullptr;
 }
 
 }  // namespace internal
@@ -135,11 +105,25 @@ FlowSolution solve_impl(const Graph& g, SolverKind kind, SolveGuard* guard,
     kind = select_solver(measure_shape(g));
     if (ws != nullptr) ++ws->counters.auto_selections;
   }
-  const internal::SolverBackend* backend = internal::find_backend(kind);
+  FlowSolution (*backend)(const Graph&, SolveGuard*, SolverWorkspace&) =
+      nullptr;
+  switch (kind) {
+    case SolverKind::kSuccessiveShortestPaths:
+      backend = internal::run_ssp;
+      break;
+    case SolverKind::kCycleCanceling:
+      backend = internal::run_cycle_canceling;
+      break;
+    case SolverKind::kNetworkSimplex:
+      backend = internal::run_network_simplex;
+      break;
+    case SolverKind::kAuto:
+      break;  // Resolved above.
+  }
   if (backend == nullptr) {
     FlowSolution bad;
     bad.status = SolveStatus::kBadInstance;
-    bad.message = "no registered backend for solver kind " +
+    bad.message = "unknown solver kind " +
                   std::to_string(static_cast<int>(kind));
     return bad;
   }
@@ -165,13 +149,18 @@ FlowSolution solve_impl(const Graph& g, SolverKind kind, SolveGuard* guard,
     return sol;
   };
 
-  if (!g.has_lower_bounds()) {
-    return relabel_cancelled(internal::run_backend(*backend, g, guard, ws));
-  }
+  // "No workspace" becomes a throwaway local arena here, so backends
+  // never carry their own fallback plumbing.
+  auto run = [&](const Graph& instance) {
+    if (ws != nullptr) return relabel_cancelled(backend(instance, guard, *ws));
+    SolverWorkspace local;
+    return relabel_cancelled(backend(instance, guard, local));
+  };
+
+  if (!g.has_lower_bounds()) return run(g);
 
   const LowerBoundReduction red = remove_lower_bounds(g);
-  FlowSolution sol =
-      relabel_cancelled(internal::run_backend(*backend, red.reduced, guard, ws));
+  FlowSolution sol = run(red.reduced);
   if (!sol.optimal()) return sol;
   sol.arc_flow = restore_lower_bounds(red, sol.arc_flow);
   sol.cost += red.fixed_cost;

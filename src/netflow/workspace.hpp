@@ -55,14 +55,6 @@ std::int64_t vec_bytes(const std::vector<T>& v) {
   X(heap_pops, "heap_pops", kSum)                                             \
   /* Network-simplex basis changes. */                                        \
   X(simplex_pivots, "pivots", kSum)                                           \
-  /* Cost-scaling epsilon phases run. */                                      \
-  X(cs_phases, "cs_phases", kSum)                                             \
-  /* Cost-scaling push operations. */                                         \
-  X(cs_pushes, "cs_pushes", kSum)                                             \
-  /* Cost-scaling relabel operations. */                                      \
-  X(cs_relabels, "cs_relabels", kSum)                                         \
-  /* Phases settled by price refinement alone. */                             \
-  X(price_refinements, "price_refinements", kSum)                             \
   /* SolverKind::kAuto resolutions. */                                        \
   X(auto_selections, "auto_selections", kSum)                                 \
   /* Solves on an arena an earlier solve used. */                             \
@@ -253,46 +245,6 @@ struct SimplexScratch {
   }
 };
 
-/// Cost-scaling scratch: scaled costs, potentials, excesses, the FIFO
-/// active queue, the partial-augment path, and the price-refinement
-/// label array. All sized lazily by prepare(); reuse across solves keeps
-/// the refine loops allocation-free.
-struct CostScalingScratch {
-  std::vector<Cost> scaled_cost;   ///< Per residual edge: cost * alpha.
-  std::vector<Cost> pi;            ///< Node potentials (scaled units).
-  std::vector<Flow> excess;        ///< Node imbalances during refine.
-  std::vector<std::int32_t> current;  ///< Current-arc cursor per node.
-  std::vector<NodeId> active;      ///< FIFO queue of excess nodes.
-  std::vector<char> in_queue;      ///< Queue membership flags.
-  std::vector<std::int32_t> path;  ///< Partial-augment edge stack.
-  std::vector<Cost> refine_dist;   ///< Price-refinement labels.
-
-  void prepare(NodeId n, std::int64_t num_edges) {
-    const auto un = static_cast<std::size_t>(n);
-    detail::alloc_tick(
-        static_cast<std::int64_t>(num_edges) *
-            static_cast<std::int64_t>(sizeof(Cost)) +
-        static_cast<std::int64_t>(un) * (2 * sizeof(Cost) + sizeof(Flow) +
-                                         sizeof(std::int32_t) + 1));
-    scaled_cost.resize(static_cast<std::size_t>(num_edges));
-    pi.assign(un, 0);
-    excess.assign(un, 0);
-    current.assign(un, 0);
-    in_queue.assign(un, 0);
-    refine_dist.assign(un, 0);
-    active.clear();
-    path.clear();
-  }
-
-  /// Bytes this scratch currently retains.
-  std::int64_t footprint_bytes() const {
-    return detail::vec_bytes(scaled_cost) + detail::vec_bytes(pi) +
-           detail::vec_bytes(excess) + detail::vec_bytes(current) +
-           detail::vec_bytes(active) + detail::vec_bytes(in_queue) +
-           detail::vec_bytes(path) + detail::vec_bytes(refine_dist);
-  }
-};
-
 /// Cycle-canceling scratch: the Bellman-Ford distance/parent arrays and
 /// the cycle buffer that used to be allocated per negative-cycle search.
 struct CycleCancelScratch {
@@ -313,7 +265,6 @@ struct SolverWorkspace {
   Residual residual;
   SspScratch ssp;
   SimplexScratch simplex;
-  CostScalingScratch cost_scaling;
   CycleCancelScratch cycle_cancel;
   PerfCounters counters;
   /// True once any solve has run through this arena; every later solve
@@ -326,8 +277,7 @@ struct SolverWorkspace {
   /// charges for a pooled workspace.
   std::int64_t footprint_bytes() const {
     return residual.footprint_bytes() + ssp.footprint_bytes() +
-           simplex.footprint_bytes() + cost_scaling.footprint_bytes() +
-           cycle_cancel.footprint_bytes();
+           simplex.footprint_bytes() + cycle_cancel.footprint_bytes();
   }
 };
 

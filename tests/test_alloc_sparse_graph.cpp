@@ -166,8 +166,7 @@ TEST(SparseGraph, CompileLargeBlocksMatchTheDenseOptimumUnderEveryBackend) {
     }
     for (netflow::SolverKind kind :
          {netflow::SolverKind::kSuccessiveShortestPaths,
-          netflow::SolverKind::kNetworkSimplex,
-          netflow::SolverKind::kCostScaling}) {
+          netflow::SolverKind::kNetworkSimplex}) {
       AllocatorOptions opts;
       opts.certify = true;
       opts.solve.chain = {kind};
@@ -218,8 +217,8 @@ TEST(AutoSelection, PicksByRegisterCountOnAllocationGraphs) {
   }
 
   // A dense 512-variable activity graph at R = 1. The shape-based policy
-  // calibrated on random flow graphs sent it to cost scaling (more than
-  // 65,536 arcs, supply below nodes/16).
+  // calibrated on random flow graphs sent it to cost scaling, a backend
+  // since removed (more than 65,536 arcs, supply below nodes/16).
   workloads::RandomLifetimeOptions lopts;
   lopts.num_vars = 512;
   lopts.num_steps = 256;

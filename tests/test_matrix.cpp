@@ -62,8 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllConfigs, MatrixTest,
     ::testing::Combine(
         ::testing::Values(netflow::SolverKind::kSuccessiveShortestPaths,
-                          netflow::SolverKind::kNetworkSimplex,
-                          netflow::SolverKind::kCostScaling),
+                          netflow::SolverKind::kNetworkSimplex),
         ::testing::Values(GraphStyle::kDensityRegions,
                           GraphStyle::kAllPairs),
         ::testing::Values(energy::RegisterModel::kStatic,
@@ -77,9 +76,6 @@ INSTANTIATE_TEST_SUITE_P(
           break;
         case netflow::SolverKind::kNetworkSimplex:
           name += "NetSimplex";
-          break;
-        case netflow::SolverKind::kCostScaling:
-          name += "CostScaling";
           break;
         default:
           name += "Other";

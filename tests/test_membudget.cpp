@@ -171,9 +171,9 @@ TEST(MemBudgetSolve, TwoHundredSeedSweepBalancesTheLedger) {
 // retains (workspace scratch + residual), per backend, across the
 // bench_solvers instance family shapes.
 TEST(MemBudgetEstimate, WithinTwoXOfMeasuredWorkspaceBytes) {
-  const SolverKind kinds[] = {
-      SolverKind::kSuccessiveShortestPaths, SolverKind::kNetworkSimplex,
-      SolverKind::kCostScaling, SolverKind::kCycleCanceling};
+  const SolverKind kinds[] = {SolverKind::kSuccessiveShortestPaths,
+                              SolverKind::kNetworkSimplex,
+                              SolverKind::kCycleCanceling};
   for (const int nodes : {12, 32, 64}) {
     RandomFlowOptions opts;
     opts.num_nodes = nodes;
@@ -214,8 +214,7 @@ TEST(MemBudgetEstimate, FootprintIsTheWorstBackend) {
   const std::int64_t footprint = estimate_footprint(shape);
   for (const SolverKind kind :
        {SolverKind::kSuccessiveShortestPaths, SolverKind::kNetworkSimplex,
-        SolverKind::kCostScaling, SolverKind::kCycleCanceling,
-        SolverKind::kAuto}) {
+        SolverKind::kCycleCanceling, SolverKind::kAuto}) {
     EXPECT_GE(footprint, estimate_solver_bytes(shape, kind))
         << to_string(kind);
   }
@@ -292,9 +291,9 @@ TEST(MemBudgetSolve, TinyCapRefusesEveryAttemptTyped) {
 // at any of them must surface as kMemoryExceeded — never a crash, and
 // never a silently wrong answer.
 TEST(OomFailpoint, SiteSweepOverAllBackendsUnwindsTyped) {
-  const SolverKind kinds[] = {
-      SolverKind::kSuccessiveShortestPaths, SolverKind::kNetworkSimplex,
-      SolverKind::kCostScaling, SolverKind::kCycleCanceling};
+  const SolverKind kinds[] = {SolverKind::kSuccessiveShortestPaths,
+                              SolverKind::kNetworkSimplex,
+                              SolverKind::kCycleCanceling};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     RandomFlowOptions opts;
     opts.min_cost = -15;

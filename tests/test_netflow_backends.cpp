@@ -3,17 +3,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "netflow/internal_solvers.hpp"
 #include "netflow/netflow.hpp"
 #include "workloads/random_gen.hpp"
 
-// PR 7 backend suite: the upgraded cost-scaling (push-relabel with
-// partial augment-relabel + price refinement) and network simplex
-// (candidate-list pivoting + incremental tree maintenance) are
-// differential-tested against SSP over 200 random seeds, checked for
-// cold-vs-shared-workspace bit-identity, and the SolverKind::kAuto
-// shape-based selection policy is pinned on canonical shapes and
-// exercised end-to-end through solve() and solve_robust().
+// Backend suite: network simplex (candidate-list pivoting + incremental
+// tree maintenance) is differential-tested against SSP over 200 random
+// seeds, every backend is checked for cold-vs-shared-workspace
+// bit-identity, and the SolverKind::kAuto selection policy is pinned on
+// canonical shapes and exercised end-to-end through solve() and
+// solve_robust().
 
 namespace lera::netflow {
 namespace {
@@ -39,7 +37,7 @@ workloads::RandomFlowOptions options_for(std::uint64_t seed) {
   return opts;
 }
 
-// Every backend must agree with SSP on feasibility and on the optimal
+// The simplex must agree with SSP on feasibility and on the optimal
 // objective (equal-cost optima may differ arc-by-arc), and every optimal
 // answer must carry a certificate: feasible b-flow, exact cost, no
 // negative residual cycle. Zero tolerated mismatches across 200 seeds.
@@ -52,16 +50,12 @@ TEST(BackendDifferential, TwoHundredSeedsMatchSspObjective) {
         solve(g, SolverKind::kSuccessiveShortestPaths, nullptr, &shared);
     const FlowSolution simplex =
         solve(g, SolverKind::kNetworkSimplex, nullptr, &shared);
-    const FlowSolution scaling =
-        solve(g, SolverKind::kCostScaling, nullptr, &shared);
 
     ASSERT_EQ(simplex.status, ssp.status) << "seed " << seed;
-    ASSERT_EQ(scaling.status, ssp.status) << "seed " << seed;
     if (ssp.status != SolveStatus::kOptimal) continue;
     ++optimal;
     EXPECT_EQ(simplex.cost, ssp.cost) << "seed " << seed;
-    EXPECT_EQ(scaling.cost, ssp.cost) << "seed " << seed;
-    for (const FlowSolution* sol : {&ssp, &simplex, &scaling}) {
+    for (const FlowSolution* sol : {&ssp, &simplex}) {
       ASSERT_TRUE(check_feasible(g, sol->arc_flow).ok) << "seed " << seed;
       ASSERT_TRUE(certify_optimal(g, sol->arc_flow)) << "seed " << seed;
       Cost recomputed = 0;
@@ -74,19 +68,23 @@ TEST(BackendDifferential, TwoHundredSeedsMatchSspObjective) {
   EXPECT_GT(optimal, 150);
 }
 
-// Both upgraded backends are deterministic scratch-arena algorithms: a
-// cold solve (fresh allocations) and a shared-workspace solve must pick
-// the SAME equal-cost optimum, bit for bit, even after the workspace
-// has been dirtied by other backends and other instances.
+// Every backend is a deterministic scratch-arena algorithm: a cold solve
+// (fresh allocations) and a shared-workspace solve must pick the SAME
+// equal-cost optimum, bit for bit, even after the workspace has been
+// dirtied by another backend and by other instances.
 TEST(BackendDeterminism, ColdAndSharedWorkspaceBitIdentical) {
   for (const SolverKind kind :
-       {SolverKind::kNetworkSimplex, SolverKind::kCostScaling}) {
+       {SolverKind::kSuccessiveShortestPaths, SolverKind::kNetworkSimplex,
+        SolverKind::kCycleCanceling}) {
+    const SolverKind other = kind == SolverKind::kNetworkSimplex
+                                 ? SolverKind::kSuccessiveShortestPaths
+                                 : SolverKind::kNetworkSimplex;
     SolverWorkspace shared;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
       const Graph g =
           workloads::random_flow_problem(seed, options_for(seed));
       // Dirty the arena with a different backend first.
-      (void)solve(g, SolverKind::kSuccessiveShortestPaths, nullptr, &shared);
+      (void)solve(g, other, nullptr, &shared);
       const FlowSolution cold = solve(g, kind);
       const FlowSolution warm = solve(g, kind, nullptr, &shared);
       ASSERT_EQ(cold.status, warm.status)
@@ -260,50 +258,6 @@ TEST(AutoSelection, WarmCacheBiasesSelectionTowardSsp) {
   EXPECT_EQ(second.auto_choice, SolverKind::kSuccessiveShortestPaths);
   EXPECT_NE(second.auto_features.find("warm_cache_match=1"),
             std::string::npos);
-}
-
-// The registry is the single dispatch point: every concrete kind
-// resolves to a backend whose kind matches, and kAuto resolves to none
-// (it is expanded before dispatch).
-TEST(BackendRegistry, FindsEveryConcreteKindAndNoAuto) {
-  for (const SolverKind kind :
-       {SolverKind::kSuccessiveShortestPaths, SolverKind::kCycleCanceling,
-        SolverKind::kNetworkSimplex, SolverKind::kCostScaling}) {
-    const internal::SolverBackend* backend = internal::find_backend(kind);
-    ASSERT_NE(backend, nullptr) << to_string(kind);
-    EXPECT_EQ(backend->kind, kind);
-    EXPECT_NE(backend->fn, nullptr);
-  }
-  EXPECT_EQ(internal::find_backend(SolverKind::kAuto), nullptr);
-  EXPECT_EQ(internal::solver_backends().size(), 4u);
-}
-
-// The new counters must flow: cost-scaling fills its phase/push/relabel
-// counters, simplex still counts pivots, and both survive delta_since.
-TEST(BackendCounters, CostScalingAndSimplexCountWork) {
-  const Graph g = solvable_instance(2);
-  SolverWorkspace ws;
-  const PerfCounters base = ws.counters;
-  const FlowSolution scaling =
-      solve(g, SolverKind::kCostScaling, nullptr, &ws);
-  ASSERT_EQ(scaling.status, SolveStatus::kOptimal);
-  const PerfCounters after_scaling = ws.counters.delta_since(base);
-  EXPECT_GT(after_scaling.cs_phases, 0);
-  EXPECT_GT(after_scaling.cs_pushes, 0);
-  EXPECT_GT(after_scaling.cs_relabels, 0);
-
-  const PerfCounters mid = ws.counters;
-  const FlowSolution simplex =
-      solve(g, SolverKind::kNetworkSimplex, nullptr, &ws);
-  ASSERT_EQ(simplex.status, SolveStatus::kOptimal);
-  const PerfCounters after_simplex = ws.counters.delta_since(mid);
-  EXPECT_GT(after_simplex.simplex_pivots, 0);
-  EXPECT_EQ(after_simplex.cs_pushes, 0);
-
-  const std::string line = ws.counters.summary();
-  EXPECT_NE(line.find("cs_phases="), std::string::npos);
-  EXPECT_NE(line.find("price_refinements="), std::string::npos);
-  EXPECT_NE(line.find("auto_selections="), std::string::npos);
 }
 
 }  // namespace

@@ -348,11 +348,11 @@ TEST(CsrSolver, PerfCountersAccumulateAcrossSolves) {
   }
   const std::vector<std::string> expected = {
       "solves", "augmentations", "settles", "heap_pushes", "heap_pops",
-      "pivots", "cs_phases", "cs_pushes", "cs_relabels", "price_refinements",
-      "auto_selections", "workspace_reuse", "warm_hits", "warm_misses",
-      "warm_store_rejects", "cache_hits", "cache_misses", "cache_evictions",
-      "cache_audit_samples", "cache_bytes", "validate_ns", "solve_ns",
-      "certify_ns", "mem_charged_bytes", "mem_denials", "mem_peak_bytes"};
+      "pivots", "auto_selections", "workspace_reuse", "warm_hits",
+      "warm_misses", "warm_store_rejects", "cache_hits", "cache_misses",
+      "cache_evictions", "cache_audit_samples", "cache_bytes", "validate_ns",
+      "solve_ns", "certify_ns", "mem_charged_bytes", "mem_denials",
+      "mem_peak_bytes"};
   EXPECT_EQ(keys, expected);
 }
 

@@ -25,17 +25,14 @@ void check_all_solvers_agree(const Graph& g) {
   const FlowSolution ssp = solve(g, SolverKind::kSuccessiveShortestPaths);
   const FlowSolution cc = solve(g, SolverKind::kCycleCanceling);
   const FlowSolution ns = solve(g, SolverKind::kNetworkSimplex);
-  const FlowSolution cs = solve(g, SolverKind::kCostScaling);
 
   ASSERT_EQ(ssp.status, cc.status);
   ASSERT_EQ(ssp.status, ns.status);
-  ASSERT_EQ(ssp.status, cs.status);
   if (!ssp.optimal()) return;
 
   EXPECT_EQ(ssp.cost, cc.cost);
   EXPECT_EQ(ssp.cost, ns.cost);
-  EXPECT_EQ(ssp.cost, cs.cost);
-  for (const FlowSolution* sol : {&ssp, &cc, &ns, &cs}) {
+  for (const FlowSolution* sol : {&ssp, &cc, &ns}) {
     const CheckResult feasible = check_feasible(g, sol->arc_flow);
     EXPECT_TRUE(feasible.ok) << feasible.message;
     EXPECT_TRUE(certify_optimal(g, sol->arc_flow));

@@ -228,21 +228,6 @@ TEST(SolveRobust, AllAttemptsCorruptedSurfacesAsUncertified) {
   }
 }
 
-TEST(SolveRobust, CertifyNoneTrustsTheSolverOutput) {
-  // kNone exists for benchmarks; it must pass corrupted answers through
-  // untouched — which is exactly why production callers never use it.
-  const Graph g = diamond();
-  FaultInjector injector(13);
-  SolveOptions options;
-  options.certify = CertifyLevel::kNone;
-  options.post_solve_hook = injector.hook();
-  SolveDiagnostics diag;
-  const FlowSolution sol = solve_robust(g, options, &diag);
-  EXPECT_EQ(injector.faults_injected(), 1);
-  EXPECT_TRUE(sol.optimal());  // The corruption went undetected by design.
-  EXPECT_EQ(diag.certification, CertificationVerdict::kNotRun);
-}
-
 TEST(FaultInjection, DeterministicInTheSeed) {
   const Graph g = diamond();
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {

@@ -206,14 +206,12 @@ INSTANTIATE_TEST_SUITE_P(
     AllSolvers, SolverTest,
     ::testing::Values(SolverKind::kSuccessiveShortestPaths,
                       SolverKind::kCycleCanceling,
-                      SolverKind::kNetworkSimplex,
-                      SolverKind::kCostScaling, SolverKind::kAuto),
+                      SolverKind::kNetworkSimplex, SolverKind::kAuto),
     [](const ::testing::TestParamInfo<SolverKind>& info) {
       switch (info.param) {
         case SolverKind::kSuccessiveShortestPaths: return std::string("Ssp");
         case SolverKind::kCycleCanceling: return std::string("CycleCancel");
         case SolverKind::kNetworkSimplex: return std::string("NetSimplex");
-        case SolverKind::kCostScaling: return std::string("CostScaling");
         case SolverKind::kAuto: return std::string("Auto");
       }
       return std::string("Unknown");

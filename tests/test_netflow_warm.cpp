@@ -154,20 +154,21 @@ TEST(WarmStart, RobustSolveUsesAndRefreshesTheCache) {
   EXPECT_GE(ws.counters.workspace_reuse_hits, 2);
 }
 
-TEST(WarmStart, WarmAnswersAreCertifiedEvenUnderCertifyNone) {
+TEST(WarmStart, WarmAnswersAreCertifiedAtFeasible) {
   const Graph base = workloads::random_flow_problem(21, warm_options());
 
   WarmStartCache cache;
   SolveOptions opts;
   opts.warm_cache = &cache;
-  opts.certify = CertifyLevel::kNone;
+  opts.certify = CertifyLevel::kFeasible;
 
   SolveDiagnostics d1;
   ASSERT_TRUE(solve_robust(base, opts, &d1).optimal());
   ASSERT_TRUE(cache.has_entry());
 
-  // Corrupt every warm answer through the test seam: certification must
-  // catch it (despite kNone) and fall back to the cold chain.
+  // Corrupt every warm answer through the test seam: the cheapest
+  // certification level must still catch it and fall back to the cold
+  // chain.
   const Graph next = perturb(base, 777);
   SolveOptions bad = opts;
   bad.post_solve_hook = [](const Graph&, FlowSolution& s) {
@@ -177,12 +178,14 @@ TEST(WarmStart, WarmAnswersAreCertifiedEvenUnderCertifyNone) {
   const FlowSolution out = solve_robust(next, bad, &d2);
   EXPECT_TRUE(d2.warm_start_attempted);
   EXPECT_FALSE(d2.warm_start_hit);
-  // The cold chain's answer is corrupted by the hook too, and with
-  // certify=kNone it is accepted blind — the point here is only that
-  // the *warm* path never bypasses certification.
   ASSERT_FALSE(d2.attempts.empty());
-  EXPECT_NE(d2.attempts.front().note.find("warm-start"), std::string::npos);
-  (void)out;
+  EXPECT_NE(d2.attempts.front().note.find("warm-start rejected"),
+            std::string::npos);
+  // The hook corrupts the cold chain's answers too, and those are caught
+  // as well: nothing certified is left to return.
+  EXPECT_EQ(out.status, SolveStatus::kUncertified);
+  EXPECT_EQ(d2.certification, CertificationVerdict::kFailed);
+  EXPECT_FALSE(d2.warm_store_attempted);  // No corrupted flow is cached.
 }
 
 TEST(WarmStart, BudgetExceededSurfacesFromWarmPath) {
