@@ -73,6 +73,19 @@ double enter_energy(const AllocationProblem& p, const Segment& seg) {
   return cost;
 }
 
+/// Energy terms of keeping the register across the cut that ends
+/// \p seg (eq. 9 generalised): an interior read is served from the
+/// register, plus the static-model register read that serves it.
+double chain_energy(const AllocationProblem& p, const Segment& seg) {
+  const energy::EnergyParams& e = p.params;
+  if (seg.end_kind != CutKind::kRead) return 0;
+  double cost = -e.e_mem_read();
+  if (e.register_model == energy::RegisterModel::kStatic) {
+    cost += e.e_reg_read();
+  }
+  return cost;
+}
+
 /// Appends arcs with their metadata, energies quantised to costs.
 struct ArcAdder {
   FlowGraphSpec& spec;
@@ -81,8 +94,15 @@ struct ArcAdder {
   void operator()(netflow::NodeId tail, netflow::NodeId head,
                   double energy_cost, ArcKind kind, int from_seg, int to_seg,
                   netflow::Flow cap = 1, netflow::Flow lower = 0) const {
-    spec.graph.add_arc(tail, head, cap, quantizer.quantize(energy_cost),
-                       lower);
+    priced(tail, head, quantizer.quantize(energy_cost), kind, from_seg,
+           to_seg, cap, lower);
+  }
+
+  /// The same with a cost already quantised.
+  void priced(netflow::NodeId tail, netflow::NodeId head, netflow::Cost cost,
+              ArcKind kind, int from_seg, int to_seg, netflow::Flow cap = 1,
+              netflow::Flow lower = 0) const {
+    spec.graph.add_arc(tail, head, cap, cost, lower);
     spec.arc_info.push_back({kind, from_seg, to_seg});
   }
 };
@@ -115,24 +135,6 @@ class PeakIndex {
   std::vector<int> max_prefix_;
 };
 
-/// Nodes both encodings share: s, t and a w/r pair per segment, with
-/// room reserved for \p extra_nodes more. Nodes are unnamed;
-/// report::write_dot labels them from the spec.
-void add_segment_nodes(const AllocationProblem& p, FlowGraphSpec& spec,
-                       std::size_t extra_nodes) {
-  const std::size_t num_segs = p.segments.size();
-  spec.graph.reserve_nodes(
-      static_cast<netflow::NodeId>(2 + 2 * num_segs + extra_nodes));
-  spec.s = spec.graph.add_node();
-  spec.t = spec.graph.add_node();
-  spec.w_node.resize(num_segs);
-  spec.r_node.resize(num_segs);
-  for (std::size_t i = 0; i < num_segs; ++i) {
-    spec.w_node[i] = spec.graph.add_node();
-    spec.r_node[i] = spec.graph.add_node();
-  }
-}
-
 /// Announces \p arcs arcs of storage (graph arcs + per-arc metadata) to
 /// the budget/failpoint seam, then reserves them.
 void reserve_arcs(FlowGraphSpec& spec, std::size_t arcs) {
@@ -144,49 +146,37 @@ void reserve_arcs(FlowGraphSpec& spec, std::size_t arcs) {
   spec.arc_info.reserve(arcs);
 }
 
-std::size_t count_chain_arcs(const AllocationProblem& p) {
-  std::size_t chains = 0;
+/// Cuts of \p p: places where two consecutive segments of one variable
+/// meet.
+std::size_t count_cuts(const AllocationProblem& p) {
+  std::size_t cuts = 0;
   for (std::size_t i = 0; i + 1 < p.segments.size(); ++i) {
-    if (p.segments[i].var == p.segments[i + 1].var) ++chains;
+    if (p.segments[i].var == p.segments[i + 1].var) ++cuts;
   }
-  return chains;
+  return cuts;
 }
 
-/// Segment and chain arcs, which both encodings share.
-void add_segment_and_chain_arcs(const AllocationProblem& p,
-                                const ArcAdder& add) {
-  const FlowGraphSpec& spec = add.spec;
-  const energy::EnergyParams& e = p.params;
-  const bool activity_model =
-      e.register_model == energy::RegisterModel::kActivity;
-  const std::size_t num_segs = p.segments.size();
+/// True if segment \p i is the last of its variable.
+bool is_last_segment(const AllocationProblem& p, std::size_t i) {
+  return i + 1 == p.segments.size() ||
+         p.segments[i + 1].var != p.segments[i].var;
+}
 
-  // Segment arcs w_i(v) -> r_i(v): cost 0 (eq. 3), capacity 1, lower
-  // bound 1 when the segment must sit in a register (§5.2) and capacity
-  // 0 when it is barred from the register file (§7 port constraints).
-  for (std::size_t i = 0; i < num_segs; ++i) {
-    assert(!(p.segments[i].forced_register &&
-             p.segments[i].forbidden_register));
-    add(spec.w_node[i], spec.r_node[i], 0.0, ArcKind::kSegment,
-        static_cast<int>(i), static_cast<int>(i),
-        p.segments[i].forbidden_register ? 0 : 1,
-        p.segments[i].forced_register ? 1 : 0);
+/// The distinct event times of \p p in ascending order, one hub each: 0,
+/// x+1, every segment start and every variable's death. Segments are
+/// contiguous, so every other segment end is the next one's start.
+std::vector<int> event_times(const AllocationProblem& p) {
+  std::vector<int> times;
+  times.reserve(p.segments.size() + p.lifetimes.size() + 2);
+  times.push_back(0);
+  times.push_back(p.num_steps + 1);
+  for (std::size_t i = 0; i < p.segments.size(); ++i) {
+    times.push_back(p.segments[i].start);
+    if (is_last_segment(p, i)) times.push_back(p.segments[i].end);
   }
-
-  // Chain arcs r_i(v) -> w_{i+1}(v) (eq. 9 generalised): the variable
-  // keeps its register across the cut.
-  for (std::size_t i = 0; i + 1 < num_segs; ++i) {
-    const Segment& cur = p.segments[i];
-    const Segment& next = p.segments[i + 1];
-    if (cur.var != next.var) continue;
-    double cost = 0;
-    if (cur.end_kind == CutKind::kRead) {
-      cost -= e.e_mem_read();  // Interior read served from the register.
-      if (!activity_model) cost += e.e_reg_read();
-    }
-    add(spec.r_node[i], spec.w_node[i + 1], cost, ArcKind::kChain,
-        static_cast<int>(i), static_cast<int>(i + 1));
-  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  return times;
 }
 
 /// Base energy: every variable charged as if it lived in memory.
@@ -200,35 +190,16 @@ double base_energy(const AllocationProblem& p) {
   return base;
 }
 
-/// The hub encoding (see flow_graph.hpp); requires uses_sparse_encoding.
+/// The cut-node encoding (see flow_graph.hpp); requires
+/// uses_sparse_encoding.
 FlowGraphSpec build_sparse_flow_graph(const AllocationProblem& p,
                                       GraphStyle style,
                                       const energy::Quantizer& quantizer) {
   const std::size_t num_segs = p.segments.size();
   FlowGraphSpec spec;
-
-  // One hub per distinct event time: 0, x+1 and every segment's ends.
-  std::vector<int>& times = spec.hub_time;
-  times.reserve(2 * num_segs + 2);
-  times.push_back(0);
-  times.push_back(p.num_steps + 1);
-  for (const Segment& seg : p.segments) {
-    times.push_back(seg.start);
-    times.push_back(seg.end);
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
+  spec.hub_time = event_times(p);
+  const std::vector<int>& times = spec.hub_time;
   const std::size_t num_hubs = times.size();
-
-  add_segment_nodes(p, spec, num_hubs);
-  spec.hub_node.resize(num_hubs);
-  for (std::size_t k = 0; k < num_hubs; ++k) {
-    spec.hub_node[k] = spec.graph.add_node();
-  }
-  const auto hub = [&](int time) {
-    return spec.hub_node[static_cast<std::size_t>(
-        std::lower_bound(times.begin(), times.end(), time) - times.begin())];
-  };
 
   // Idle arcs hub(t_k) -> hub(t_k+1); the paper's graph drops those
   // across a max-density boundary, so hub(a) reaches hub(b) exactly when
@@ -243,24 +214,66 @@ FlowGraphSpec build_sparse_flow_graph(const AllocationProblem& p,
     }
   }
 
-  // Exact arc count: segment, leave and enter arcs per segment, chains,
-  // idle arcs, s -> hub(0), hub(x+1) -> t and the bypass.
-  reserve_arcs(spec, 3 * num_segs + count_chain_arcs(p) + idle.size() + 2 +
-                         (p.num_registers > 0 ? 1 : 0));
-  const ArcAdder add{spec, quantizer};
-  add_segment_and_chain_arcs(p, add);
+  const FlowGraphSize size = sparse_graph_size(
+      static_cast<std::int64_t>(num_segs),
+      static_cast<std::int64_t>(count_cuts(p)),
+      static_cast<std::int64_t>(num_hubs),
+      static_cast<std::int64_t>(idle.size()), p.num_registers > 0);
+  spec.graph.reserve_nodes(static_cast<netflow::NodeId>(size.nodes));
+  reserve_arcs(spec, static_cast<std::size_t>(size.arcs));
 
-  // r_i(v) -> hub(end_i) and hub(start_j) -> w_j(v): the two halves of
-  // every dense transition, priced leave(i) and enter(j).
+  // Nodes are unnamed; report::write_dot labels them from the spec.
+  spec.s = spec.graph.add_node();
+  spec.t = spec.graph.add_node();
+  spec.hub_node.resize(num_hubs);
+  for (std::size_t k = 0; k < num_hubs; ++k) {
+    spec.hub_node[k] = spec.graph.add_node();
+  }
+  const auto hub = [&](int time) {
+    return spec.hub_node[static_cast<std::size_t>(
+        std::lower_bound(times.begin(), times.end(), time) - times.begin())];
+  };
+
+  // Segment i's arc runs w_node[i] -> r_node[i]. A variable's first
+  // segment starts at hub(start) and its last ends at hub(end); two
+  // consecutive segments share one cut node where they meet. Capacity 1,
+  // lower bound 1 when the segment must sit in a register (§5.2). The
+  // cost is what the dense graph charges along a register chain:
+  // enter(i) on a variable's first segment, plus the chain cost (eq. 9)
+  // of the cut it ends at, or leave(i) at the variable's death.
+  const ArcAdder add{spec, quantizer};
+  spec.w_node.resize(num_segs);
+  spec.r_node.resize(num_segs);
   for (std::size_t i = 0; i < num_segs; ++i) {
     const Segment& seg = p.segments[i];
-    add(spec.r_node[i], hub(seg.end), leave_energy(p, seg), ArcKind::kLeave,
-        static_cast<int>(i), -1);
+    const bool first = i == 0 || p.segments[i - 1].var != seg.var;
+    const bool last = is_last_segment(p, i);
+    spec.w_node[i] = first ? hub(seg.start) : spec.r_node[i - 1];
+    spec.r_node[i] = last ? hub(seg.end) : spec.graph.add_node();
+    const netflow::Cost cost =
+        (first ? quantizer.quantize(enter_energy(p, seg)) : 0) +
+        quantizer.quantize(last ? leave_energy(p, seg)
+                                : chain_energy(p, seg));
+    add.priced(spec.w_node[i], spec.r_node[i], netflow::saturate_cost(cost),
+               ArcKind::kSegment, static_cast<int>(i), static_cast<int>(i),
+               1, seg.forced_register ? 1 : 0);
   }
-  for (std::size_t j = 0; j < num_segs; ++j) {
-    const Segment& seg = p.segments[j];
-    add(hub(seg.start), spec.w_node[j], enter_energy(p, seg),
-        ArcKind::kEnter, -1, static_cast<int>(j));
+
+  // At the cut after segment i, whose hub is both hub(end_i) and
+  // hub(start_i+1): cut -> hub releases the register at leave(i), less
+  // the chain cost segment i's arc already paid, and hub -> cut takes it
+  // for segment i+1 at enter(i+1).
+  for (std::size_t i = 0; i < num_segs; ++i) {
+    if (is_last_segment(p, i)) continue;
+    const Segment& seg = p.segments[i];
+    const netflow::NodeId at = hub(seg.end);
+    add.priced(spec.r_node[i], at,
+               netflow::saturate_cost(
+                   quantizer.quantize(leave_energy(p, seg)) -
+                   quantizer.quantize(chain_energy(p, seg))),
+               ArcKind::kLeave, static_cast<int>(i), -1);
+    add(at, spec.r_node[i], enter_energy(p, p.segments[i + 1]),
+        ArcKind::kEnter, -1, static_cast<int>(i + 1));
   }
 
   // The idle chain, entered at time 0 and left at time x+1. Capacity R:
@@ -284,6 +297,13 @@ FlowGraphSpec build_sparse_flow_graph(const AllocationProblem& p,
 
 }  // namespace
 
+FlowGraphSize sparse_graph_size(std::int64_t segments, std::int64_t cuts,
+                                std::int64_t hubs, std::int64_t idle_arcs,
+                                bool bypass) {
+  return {2 + hubs + cuts,
+          segments + 2 * cuts + idle_arcs + 2 + (bypass ? 1 : 0)};
+}
+
 bool uses_sparse_encoding(const AllocationProblem& p,
                           const energy::Quantizer& quantizer) {
   const energy::EnergyParams& e = p.params;
@@ -297,6 +317,21 @@ bool uses_sparse_encoding(const AllocationProblem& p,
   if (!(e.e_reg_read() <= e.e_mem_read()) ||
       !(e.e_mem_write() + e.e_reg_write() > 0)) {
     return false;
+  }
+  // The one path the cut nodes add, hub -> cut -> hub, spills and
+  // reloads a variable at the same cut. Priced above 0, no optimum takes
+  // it, so the flow stays a set of register chains.
+  for (CutKind cut : {CutKind::kRead, CutKind::kBoundary}) {
+    Segment before;
+    before.end_kind = cut;
+    Segment after;
+    after.start_kind = cut;
+    if (quantizer.quantize(leave_energy(p, before)) -
+            quantizer.quantize(chain_energy(p, before)) +
+            quantizer.quantize(enter_energy(p, after)) <=
+        0) {
+      return false;
+    }
   }
   // Every hub path must cost exactly what the dense arc it replaces does.
   for (CutKind end : {CutKind::kRead, CutKind::kDeath, CutKind::kBoundary}) {
@@ -334,8 +369,17 @@ FlowGraphSpec build_dense_flow_graph(const AllocationProblem& p,
   const std::size_t num_segs = p.segments.size();
 
   FlowGraphSpec spec;
-  // Exactly s, t and a w/r pair per segment.
-  add_segment_nodes(p, spec, 0);
+  // Exactly s, t and a w/r pair per segment. Nodes are unnamed;
+  // report::write_dot labels them from the spec.
+  spec.graph.reserve_nodes(static_cast<netflow::NodeId>(2 + 2 * num_segs));
+  spec.s = spec.graph.add_node();
+  spec.t = spec.graph.add_node();
+  spec.w_node.resize(num_segs);
+  spec.r_node.resize(num_segs);
+  for (std::size_t i = 0; i < num_segs; ++i) {
+    spec.w_node[i] = spec.graph.add_node();
+    spec.r_node[i] = spec.graph.add_node();
+  }
 
   const PeakIndex peaks(p);
   auto transition_allowed = [&](int read_time, int write_time) {
@@ -348,7 +392,7 @@ FlowGraphSpec build_dense_flow_graph(const AllocationProblem& p,
   // transition fill below never reallocates. Mirrors the emission loops
   // exactly (same transition_allowed predicate).
   {
-    std::size_t arcs = num_segs + count_chain_arcs(p);  // Segment, chain.
+    std::size_t arcs = num_segs + count_cuts(p);  // Segment, chain.
     for (std::size_t i = 0; i < num_segs; ++i) {
       for (std::size_t j = 0; j < num_segs; ++j) {
         if (p.segments[i].var == p.segments[j].var) continue;
@@ -370,7 +414,25 @@ FlowGraphSpec build_dense_flow_graph(const AllocationProblem& p,
   }
 
   const ArcAdder add{spec, quantizer};
-  add_segment_and_chain_arcs(p, add);
+  // Segment arcs w_i(v) -> r_i(v): cost 0 (eq. 3), capacity 1, lower
+  // bound 1 when the segment must sit in a register (§5.2) and capacity
+  // 0 when it is barred from the register file (§7 port constraints).
+  for (std::size_t i = 0; i < num_segs; ++i) {
+    assert(!(p.segments[i].forced_register &&
+             p.segments[i].forbidden_register));
+    add(spec.w_node[i], spec.r_node[i], 0.0, ArcKind::kSegment,
+        static_cast<int>(i), static_cast<int>(i),
+        p.segments[i].forbidden_register ? 0 : 1,
+        p.segments[i].forced_register ? 1 : 0);
+  }
+
+  // Chain arcs r_i(v) -> w_{i+1}(v) (eq. 9 generalised): the variable
+  // keeps its register across the cut.
+  for (std::size_t i = 0; i < num_segs; ++i) {
+    if (is_last_segment(p, i)) continue;
+    add(spec.r_node[i], spec.w_node[i + 1], chain_energy(p, p.segments[i]),
+        ArcKind::kChain, static_cast<int>(i), static_cast<int>(i + 1));
+  }
 
   // Transition arcs r_i(v1) -> w_j(v2), v1 != v2 (eqs. 4-8, 10).
   for (std::size_t i = 0; i < num_segs; ++i) {
@@ -422,27 +484,28 @@ FlowGraphSpec build_dense_flow_graph(const AllocationProblem& p,
 std::int64_t estimate_problem_footprint(const AllocationProblem& p,
                                         const energy::Quantizer& quantizer) {
   const std::int64_t s = static_cast<std::int64_t>(p.segments.size());
-  // Worst case over both graph styles. Sparse: s, t, a w/r pair per
-  // segment and at most 2s + 2 hubs; s segment, s leave, s enter, at
-  // most s - 1 chain and 2s + 1 idle arcs, s -> hub(0), hub(x+1) -> t
-  // and the bypass. Dense: s segment arcs, s-1 chain arcs, s*(s-1)
-  // transitions, s source + s sink arcs, one bypass. The closed forms
-  // below upper-bound those sums for every s >= 0.
-  const bool sparse = uses_sparse_encoding(p, quantizer);
-  const std::int64_t nodes = sparse ? 4 * s + 4 : 2 + 2 * s;
-  const std::int64_t arcs = sparse ? 6 * s + 4 : s * s + 4 * s + 2;
+  // Worst case over both graph styles. Sparse: the exact size with an
+  // idle arc between every two consecutive hubs. Dense: s segment arcs,
+  // s-1 chain arcs, s*(s-1) transitions, s source + s sink arcs, one
+  // bypass; s^2 + 4s + 2 upper-bounds that sum for every s >= 0.
+  FlowGraphSize size{2 + 2 * s, s * s + 4 * s + 2};
+  if (uses_sparse_encoding(p, quantizer)) {
+    const auto hubs = static_cast<std::int64_t>(event_times(p).size());
+    size = sparse_graph_size(s, static_cast<std::int64_t>(count_cuts(p)),
+                             hubs, hubs - 1, p.num_registers > 0);
+  }
 
   netflow::InstanceShape shape;
-  shape.nodes = static_cast<netflow::NodeId>(
-      std::min<std::int64_t>(nodes, std::numeric_limits<netflow::NodeId>::max()));
-  shape.arcs = arcs;
+  shape.nodes = static_cast<netflow::NodeId>(std::min<std::int64_t>(
+      size.nodes, std::numeric_limits<netflow::NodeId>::max()));
+  shape.arcs = size.arcs;
   // solve_st_flow adds +/-R at s/t: volume R.
   shape.supply_volume = p.num_registers;
 
   const std::int64_t spec_bytes =
-      arcs * static_cast<std::int64_t>(sizeof(netflow::Arc) +
-                                       sizeof(FlowGraphSpec::ArcInfo)) +
-      nodes * static_cast<std::int64_t>(2 * sizeof(netflow::NodeId));
+      size.arcs * static_cast<std::int64_t>(sizeof(netflow::Arc) +
+                                            sizeof(FlowGraphSpec::ArcInfo)) +
+      size.nodes * static_cast<std::int64_t>(2 * sizeof(netflow::NodeId));
   return spec_bytes + netflow::estimate_footprint(shape);
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "alloc/problem.hpp"
@@ -8,10 +9,10 @@
 
 /// \file flow_graph.hpp
 /// Maps Problem 1 to a minimum-cost network-flow instance (paper §5.1,
-/// §5.2). Every lifetime segment contributes a w-node, an r-node and a
-/// capacity-1 arc between them (lower bound 1 when the segment is forced
-/// into a register by restricted memory access times). Flow value F = R;
-/// each unit of s->t flow traces one register's occupancy chain.
+/// §5.2). Every lifetime segment contributes a capacity-1 arc from its
+/// w-node to its r-node (lower bound 1 when the segment is forced into a
+/// register by restricted memory access times). Flow value F = R; each
+/// unit of s->t flow traces one register's occupancy chain.
 ///
 /// Two transition-arc policies are provided:
 ///  * kDensityRegions — the paper's graph: a transition r_i(v1)->w_j(v2)
@@ -29,11 +30,14 @@
 ///    whose transition costs depend on both variables.
 ///  * sparse — when every transition costs leave(i) + enter(j)
 ///    (uses_sparse_encoding), one hub node per distinct event time
-///    replaces the bipartite fill: r_i -> hub(end_i) -> idle chain ->
-///    hub(start_j) -> w_j, O(s) arcs. Under kDensityRegions the chain
-///    omits the idle arcs that cross a max-density boundary, so a hub
-///    path exists exactly where the dense graph has an arc. The two
-///    encodings agree on the optimal flow cost (DESIGN.md §4).
+///    replaces the bipartite fill, and consecutive segments of a variable
+///    share one cut node where they meet: a register leaves at a cut (or
+///    at the variable's death hub), idles along the hub chain and enters
+///    at a cut (or at the variable's definition hub), O(s) arcs and no
+///    chain arcs. Under kDensityRegions the chain omits the idle arcs
+///    that cross a max-density boundary, so a hub path exists exactly
+///    where the dense graph has an arc. The two encodings agree on the
+///    optimal flow cost (DESIGN.md §4).
 /// build_flow_graph picks the encoding from the input.
 ///
 /// Arc costs implement eqs. (3)-(10) generalised to all cut kinds:
@@ -56,13 +60,13 @@ enum class GraphStyle {
 
 enum class ArcKind {
   kSegment,     ///< w_i(v) -> r_i(v).
-  kChain,       ///< r_i(v) -> w_{i+1}(v): same variable stays put.
-  kTransition,  ///< r_i(v1) -> w_j(v2): register handed to v2.
+  kChain,       ///< r_i(v) -> w_{i+1}(v): same variable stays put (dense).
+  kTransition,  ///< r_i(v1) -> w_j(v2): register handed to v2 (dense).
   kFromSource,  ///< s -> w_j(v) (dense) or s -> hub(0) (sparse).
   kToSink,      ///< r_i(v) -> t (dense) or hub(x+1) -> t (sparse).
   kBypass,      ///< s -> t: unused registers.
-  kLeave,       ///< r_i(v) -> hub(end_i): register released (sparse).
-  kEnter,       ///< hub(start_j) -> w_j(v): register taken (sparse).
+  kLeave,       ///< cut after i -> hub(end_i): register released (sparse).
+  kEnter,       ///< hub(start_j) -> cut before j: register taken (sparse).
   kIdle,        ///< hub(t_k) -> hub(t_k+1): register idles (sparse).
 };
 
@@ -70,8 +74,13 @@ struct FlowGraphSpec {
   netflow::Graph graph;
   netflow::NodeId s = netflow::kInvalidNode;
   netflow::NodeId t = netflow::kInvalidNode;
-  std::vector<netflow::NodeId> w_node;  ///< Per segment.
-  std::vector<netflow::NodeId> r_node;  ///< Per segment.
+  /// Per segment: the tail and head of its kSegment arc. Dense graphs
+  /// give each segment its own pair. Sparse graphs share them: where
+  /// segments i and i+1 of a variable meet, r_node[i] == w_node[i+1] is
+  /// the cut node, and a variable's first w-node and last r-node are the
+  /// hubs of its definition and death times.
+  std::vector<netflow::NodeId> w_node;
+  std::vector<netflow::NodeId> r_node;
   /// Sparse encoding only (both empty on a dense graph): one hub node
   /// per distinct event time, in ascending time order.
   std::vector<netflow::NodeId> hub_node;
@@ -92,14 +101,32 @@ struct FlowGraphSpec {
   double base_energy = 0;
 };
 
-/// True when \p p's transition costs separate, so the sparse hub
-/// encoding has the dense graph's optimal flow cost: the static register
-/// model, no register-barred segment, every segment with start < end,
-/// e_reg_read <= e_mem_read and e_mem_write + e_reg_write > 0, and every
-/// (end kind, start kind) transition quantising to the sum of its
-/// quantised halves. O(s).
+/// True when \p p's transition costs separate, so the sparse encoding
+/// has the dense graph's optimal flow cost: the static register model,
+/// no register-barred segment, every segment with start < end,
+/// e_reg_read <= e_mem_read and e_mem_write + e_reg_write > 0, a
+/// spill-and-reload at one cut (hub -> cut -> hub) quantising to a cost
+/// above 0 at read and boundary cuts, and every (end kind, start kind)
+/// transition quantising to the sum of its quantised halves. O(s).
 bool uses_sparse_encoding(const AllocationProblem& p,
                           const energy::Quantizer& quantizer = {});
+
+/// Node and arc counts of a flow graph.
+struct FlowGraphSize {
+  std::int64_t nodes = 0;
+  std::int64_t arcs = 0;
+};
+
+/// The exact size of a sparse graph over \p segments segments with
+/// \p cuts cuts (places where two segments of one variable meet), \p hubs
+/// distinct event times and \p idle_arcs idle arcs (at most hubs - 1):
+/// nodes s, t, the hubs and one per cut; arcs one per segment, a leave
+/// and an enter arc per cut, the idle arcs, s -> hub(0), hub(x+1) -> t
+/// and, when \p bypass, the s -> t bypass. The builder reserves from it
+/// and estimate_problem_footprint sizes the sparse case with it.
+FlowGraphSize sparse_graph_size(std::int64_t segments, std::int64_t cuts,
+                                std::int64_t hubs, std::int64_t idle_arcs,
+                                bool bypass);
 
 /// The flow graph of \p p in the encoding uses_sparse_encoding picks.
 FlowGraphSpec build_flow_graph(const AllocationProblem& p, GraphStyle style,
@@ -114,12 +141,13 @@ FlowGraphSpec build_dense_flow_graph(const AllocationProblem& p,
 /// Upper bound on the bytes an allocation of \p p costs end to end: the
 /// flow-graph spec itself (nodes, arcs, arc metadata) plus the solver
 /// footprint (netflow::estimate_footprint) of the worst-case instance
-/// shape for the encoding build_flow_graph picks (the same predicate):
-/// with s = |segments|, a sparse graph has at most 4s + 4 nodes and
-/// 6s + 4 arcs, a dense one 2 + 2s nodes and s^2 + 4s + 2 arcs,
-/// regardless of graph style. O(s). This is what admission control
-/// (lera_server) compares against a memory cap before any allocation
-/// happens.
+/// shape for the encoding build_flow_graph picks (the same predicate),
+/// regardless of graph style: a sparse graph's sparse_graph_size with an
+/// idle arc between every two hubs (for the contiguous segments
+/// build_segments makes, at most 2s + 4 nodes and 4s + 4 arcs with
+/// s = |segments|), a dense one 2 + 2s nodes and s^2 + 4s + 2 arcs.
+/// O(s log s). This is what admission control (lera_server) compares
+/// against a memory cap before any allocation happens.
 std::int64_t estimate_problem_footprint(
     const AllocationProblem& p, const energy::Quantizer& quantizer = {});
 

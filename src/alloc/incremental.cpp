@@ -10,12 +10,12 @@ namespace lera::alloc {
 namespace {
 
 /// Semantic key of one arc: kind + its two endpoints, each a segment (in
-/// the OLD problem's segment numbering) for w/r nodes, an event time for
-/// hub nodes and -1 for s and t; packed for hashing. The kind says which
-/// endpoint is which. Segment ids and times fit in 24 bits for any
-/// instance the footprint estimator admits; anything wider is masked, so
-/// it can at worst collide, and a colliding key only weakens the seed,
-/// which the certified repair tolerates.
+/// the OLD problem's segment numbering) where ArcInfo names one, an
+/// event time for hub nodes and -1 for s and t; packed for hashing. The
+/// kind says which endpoint is which. Segment ids and times fit in 24
+/// bits for any instance the footprint estimator admits; anything wider
+/// is masked, so it can at worst collide, and a colliding key only
+/// weakens the seed, which the certified repair tolerates.
 std::uint64_t arc_key(ArcKind kind, int from, int to) {
   constexpr std::uint64_t kMask = (std::uint64_t{1} << 25) - 1;
   return (static_cast<std::uint64_t>(kind) << 50) |
@@ -155,19 +155,24 @@ netflow::WarmCorrespondence derive_correspondence(
     }
   }
 
-  // Node correspondence: s, t, the matched segments' w/r pairs, and the
-  // hubs whose event time the old graph has too.
+  // Node correspondence: s, t, the matched segments' w/r nodes that are
+  // no hub on either side (a sparse graph's cut nodes), and the hubs
+  // whose event time the old graph has too.
   map.node_from.assign(
       static_cast<std::size_t>(new_spec.graph.num_nodes()), -1);
   map.node_from[static_cast<std::size_t>(new_spec.s)] = old_spec.s;
   map.node_from[static_cast<std::size_t>(new_spec.t)] = old_spec.t;
+  const auto map_node = [&](netflow::NodeId v, netflow::NodeId ov) {
+    if (new_time[static_cast<std::size_t>(v)] < 0 &&
+        old_time[static_cast<std::size_t>(ov)] < 0) {
+      map.node_from[static_cast<std::size_t>(v)] = ov;
+    }
+  };
   for (std::size_t s = 0; s < seg_new_to_old.size(); ++s) {
     const int os = seg_new_to_old[s];
     if (os < 0) continue;
-    map.node_from[static_cast<std::size_t>(new_spec.w_node[s])] =
-        old_spec.w_node[static_cast<std::size_t>(os)];
-    map.node_from[static_cast<std::size_t>(new_spec.r_node[s])] =
-        old_spec.r_node[static_cast<std::size_t>(os)];
+    map_node(new_spec.w_node[s], old_spec.w_node[static_cast<std::size_t>(os)]);
+    map_node(new_spec.r_node[s], old_spec.r_node[static_cast<std::size_t>(os)]);
   }
   for (std::size_t k = 0; k < new_spec.hub_node.size(); ++k) {
     const auto it = std::lower_bound(old_spec.hub_time.begin(),

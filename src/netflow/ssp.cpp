@@ -8,9 +8,10 @@
 /// Successive-shortest-path minimum-cost flow.
 ///
 /// Negative costs are handled in one of two ways. If the arc set has no
-/// negative-cost directed cycle (always true for the DAG-shaped
-/// allocation graphs), Bellman-Ford potentials make all reduced costs
-/// non-negative up front, so only |b|/2-ish augmentations are needed.
+/// negative-cost directed cycle (always true for the allocation graphs:
+/// the dense ones are DAGs, and the sparse ones' only cycles cost more
+/// than 0), Bellman-Ford potentials make all reduced costs non-negative
+/// up front, so only |b|/2-ish augmentations are needed.
 /// Otherwise every negative arc is saturated first (turning its reverse
 /// edge into a positive-cost one) at the price of one augmentation per
 /// saturated unit. Each augmentation is a multi-source Dijkstra from the
@@ -98,70 +99,79 @@ inline HeapEntry heap_pop_min(SspScratch& s) {
 
 /// Computes valid starting potentials (shortest distances from a virtual
 /// source at distance 0 everywhere) so that all reduced costs start
-/// non-negative. On a DAG this is a single topological-order pass; on a
-/// cyclic graph it falls back to Bellman-Ford. Returns false if a
-/// negative-cost cycle exists (no valid potentials), or if the guard's
-/// budget trips mid-pass — the caller's saturate-negative-arcs fallback
-/// is cheap and the drain loop's first tick then reports the overrun,
-/// so the cap holds even when Bellman-Ford (O(n*m)) dominates the run.
+/// non-negative. A depth-first search over the arcs with positive
+/// capacity orders the nodes in reverse postorder. On a DAG that is a
+/// topological order, and one relaxation pass in it is exact. On a
+/// cyclic graph (the sparse allocation graph's hub -> cut -> hub
+/// cycles) the passes repeat, Bellman-Ford style, until nothing
+/// changes; only arcs against that order (back arcs) cost another pass.
+/// Returns false if a negative-cost cycle exists (no valid potentials),
+/// or if the guard's budget trips mid-pass — the caller's
+/// saturate-negative-arcs fallback is cheap and the drain loop's first
+/// tick then reports the overrun, so the cap holds even when the passes
+/// (O(n*m) at worst) dominate the run.
 bool initial_potentials(const Graph& g, SolveGuard* guard, SspScratch& s) {
   const NodeId n = g.num_nodes();
   std::vector<Cost>& pi = s.pi;
   pi.assign(static_cast<std::size_t>(n), 0);
 
-  // Kahn topological sort over arcs with positive capacity.
-  s.indegree.assign(static_cast<std::size_t>(n), 0);
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    if (g.arc(a).upper > 0) {
-      ++s.indegree[static_cast<std::size_t>(g.arc(a).head)];
-    }
-  }
+  // Iterative DFS from every unvisited node in id order. cursor[v] is -1
+  // before v is visited, the position of v's next out-arc while v is on
+  // the stack, and kDone once v is finished.
+  constexpr int kDone = -2;
+  std::vector<int>& cursor = s.dfs_cursor;
+  cursor.assign(static_cast<std::size_t>(n), -1);
   std::vector<NodeId>& order = s.order;
   order.clear();
   order.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    if (s.indegree[static_cast<std::size_t>(v)] == 0) order.push_back(v);
-  }
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (ArcId a : g.out_arcs(order[i])) {
-      if (g.arc(a).upper <= 0) continue;
-      if (--s.indegree[static_cast<std::size_t>(g.arc(a).head)] == 0) {
-        order.push_back(g.arc(a).head);
+  std::vector<NodeId>& stack = s.dfs_stack;
+  bool acyclic = true;
+  for (NodeId root = 0; root < n; ++root) {
+    if (cursor[static_cast<std::size_t>(root)] != -1) continue;
+    cursor[static_cast<std::size_t>(root)] = 0;
+    stack.assign(1, root);
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      const Graph::ArcRange out = g.out_arcs(v);
+      int& c = cursor[static_cast<std::size_t>(v)];
+      while (c < static_cast<int>(out.size())) {
+        const Arc& arc = g.arc(out[static_cast<std::size_t>(c++)]);
+        if (arc.upper <= 0) continue;
+        const int head = cursor[static_cast<std::size_t>(arc.head)];
+        if (head == -1) {
+          cursor[static_cast<std::size_t>(arc.head)] = 0;
+          stack.push_back(arc.head);
+          break;
+        }
+        if (head != kDone) acyclic = false;  // Back arc: head is open.
       }
+      if (stack.back() != v) continue;  // Descended into a new node.
+      c = kDone;
+      order.push_back(v);
+      stack.pop_back();
     }
   }
+  std::reverse(order.begin(), order.end());
 
-  if (order.size() == static_cast<std::size_t>(n)) {
-    // DAG: one relaxation pass in topological order is exact.
+  // Bellman-Ford in reverse postorder, with negative-cycle detection.
+  // Each round is a full O(m) pass, so the budget is polled per round;
+  // a DAG needs exactly one.
+  for (NodeId round = 0; round <= n; ++round) {
+    if (!acyclic && guard != nullptr && !guard->tick()) return false;
+    bool changed = false;
     for (NodeId v : order) {
+      const Cost pv = pi[static_cast<std::size_t>(v)];
       for (ArcId a : g.out_arcs(v)) {
         const Arc& arc = g.arc(a);
         if (arc.upper <= 0) continue;
-        pi[static_cast<std::size_t>(arc.head)] =
-            std::min(pi[static_cast<std::size_t>(arc.head)],
-                     pi[static_cast<std::size_t>(v)] + arc.cost);
+        if (pv + arc.cost < pi[static_cast<std::size_t>(arc.head)]) {
+          if (round == n) return false;
+          pi[static_cast<std::size_t>(arc.head)] = pv + arc.cost;
+          changed = true;
+        }
       }
     }
-    return true;
-  }
-
-  // Cyclic graph: Bellman-Ford with negative-cycle detection. Each
-  // round is a full O(m) arc scan, so the budget is polled per round.
-  for (NodeId round = 0; round <= n; ++round) {
-    if (guard != nullptr && !guard->tick()) return false;
-    bool changed = false;
-    for (ArcId a = 0; a < g.num_arcs(); ++a) {
-      const Arc& arc = g.arc(a);
-      if (arc.upper <= 0) continue;
-      if (pi[static_cast<std::size_t>(arc.tail)] + arc.cost <
-          pi[static_cast<std::size_t>(arc.head)]) {
-        if (round == n) return false;
-        pi[static_cast<std::size_t>(arc.head)] =
-            pi[static_cast<std::size_t>(arc.tail)] + arc.cost;
-        changed = true;
-      }
-    }
-    if (!changed) return true;
+    if (acyclic || !changed) return true;
   }
   return true;
 }

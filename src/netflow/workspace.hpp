@@ -161,8 +161,10 @@ struct SspScratch {
   /// order; the drain augments to each of them from one forest.
   std::vector<NodeId> sinks;
   std::uint32_t current_round = 0;
-  // initial_potentials() scratch.
-  std::vector<int> indegree;
+  // initial_potentials() scratch: the DFS's per-node arc cursor and
+  // stack, and the reverse postorder it relaxes in.
+  std::vector<int> dfs_cursor;
+  std::vector<NodeId> dfs_stack;
   std::vector<NodeId> order;
 
   /// Sizes the stamped arrays for an n-node instance.
@@ -179,8 +181,8 @@ struct SspScratch {
   std::int64_t footprint_bytes() const {
     return detail::vec_bytes(node) + detail::vec_bytes(pi) +
            detail::vec_bytes(excess) + detail::vec_bytes(heap) +
-           detail::vec_bytes(sinks) + detail::vec_bytes(indegree) +
-           detail::vec_bytes(order);
+           detail::vec_bytes(sinks) + detail::vec_bytes(dfs_cursor) +
+           detail::vec_bytes(dfs_stack) + detail::vec_bytes(order);
   }
 
   /// Starts a fresh Dijkstra round, invalidating all stamped entries.

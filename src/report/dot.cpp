@@ -18,13 +18,22 @@ std::vector<std::string> node_labels(const alloc::AllocationProblem& p,
   };
   label(spec.s) = "s";
   label(spec.t) = "t";
+  // A dense graph gives every segment a w/r pair. A sparse one shares
+  // them: the node after segment k of a variable is the cut c<k> when
+  // the variable lives on, and a hub otherwise.
+  const bool sparse = !spec.hub_node.empty();
   for (std::size_t i = 0; i < p.segments.size(); ++i) {
     const lifetime::Segment& seg = p.segments[i];
     const std::string suffix =
         std::to_string(seg.index) + "(" +
         p.lifetimes[static_cast<std::size_t>(seg.var)].name + ")";
-    label(spec.w_node[i]) = "w" + suffix;
-    label(spec.r_node[i]) = "r" + suffix;
+    if (!sparse) {
+      label(spec.w_node[i]) = "w" + suffix;
+      label(spec.r_node[i]) = "r" + suffix;
+    } else if (i + 1 < p.segments.size() &&
+               p.segments[i + 1].var == seg.var) {
+      label(spec.r_node[i]) = "c" + suffix;
+    }
   }
   for (std::size_t k = 0; k < spec.hub_node.size(); ++k) {
     label(spec.hub_node[k]) = "h" + std::to_string(spec.hub_time[k]);

@@ -14,8 +14,9 @@
 namespace lera::report {
 
 /// Writes \p spec, the flow graph of \p p, as a DOT digraph. Nodes are
-/// labelled from the spec and \p p: s, t, w<k>(<var>) and r<k>(<var>)
-/// for segment k of a variable, and h<time> for a sparse graph's hubs.
+/// labelled from the spec and \p p: s and t; on a dense graph
+/// w<k>(<var>) and r<k>(<var>) for segment k of a variable; on a sparse
+/// graph c<k>(<var>) for the cut after segment k and h<time> for a hub.
 /// If \p solution is non-null, arcs carrying flow are coloured and
 /// labelled with it.
 void write_dot(std::ostream& os, const alloc::AllocationProblem& p,

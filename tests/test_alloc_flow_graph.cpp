@@ -181,22 +181,45 @@ TEST(FlowGraph, ChainArcsConnectSplitLifetimes) {
   v.value = 0;
   v.name = "v";
   v.write_time = 1;
-  v.read_times = {3, 6};
-  AllocationProblem p = make_problem({v}, 7, 1, params,
+  v.read_times = {3, 5, 8};
+  AllocationProblem p = make_problem({v}, 8, 1, params,
                                      energy::ActivityMatrix(1));
-  ASSERT_EQ(p.segments.size(), 2u);
+  ASSERT_EQ(p.segments.size(), 3u);
+  const energy::EnergyParams& e = p.params;
   const energy::Quantizer q;
-  const FlowGraphSpec spec =
+  // Eq. (9): staying in the register across an interior read saves the
+  // memory read (plus the static register read for serving the
+  // consumer).
+  const netflow::Cost chain = q.quantize(-e.e_mem_read() + e.e_reg_read());
+  const FlowGraphSpec dense =
+      build_dense_flow_graph(p, GraphStyle::kDensityRegions, q);
+  for (int i : {0, 1}) {
+    const netflow::ArcId arc = find_arc(dense, ArcKind::kChain, i, i + 1);
+    ASSERT_NE(arc, netflow::kInvalidArc);
+    EXPECT_EQ(dense.graph.arc(arc).cost, chain);
+  }
+  // Base charges one write + three reads.
+  EXPECT_DOUBLE_EQ(dense.base_energy,
+                   e.e_mem_write() + 3 * e.e_mem_read());
+
+  // The sparse graph has no chain arcs: consecutive segments share the
+  // cut node between them, and the segment arc into a cut carries the
+  // chain cost (the first one also pays for entering at the definition).
+  const FlowGraphSpec sparse =
       build_flow_graph(p, GraphStyle::kDensityRegions, q);
-  const netflow::ArcId chain = find_arc(spec, ArcKind::kChain, 0, 1);
-  ASSERT_NE(chain, netflow::kInvalidArc);
-  // Eq. (9): staying in the register saves the interior memory read
-  // (plus the static register read for serving the consumer).
-  EXPECT_EQ(spec.graph.arc(chain).cost,
-            q.quantize(-p.params.e_mem_read() + p.params.e_reg_read()));
-  // Base charges one write + two reads.
-  EXPECT_DOUBLE_EQ(spec.base_energy,
-                   p.params.e_mem_write() + 2 * p.params.e_mem_read());
+  ASSERT_FALSE(sparse.hub_node.empty());
+  EXPECT_EQ(count_kinds(sparse).count(ArcKind::kChain), 0u);
+  EXPECT_EQ(sparse.r_node[0], sparse.w_node[1]);
+  EXPECT_EQ(sparse.r_node[1], sparse.w_node[2]);
+  const netflow::ArcId middle = find_arc(sparse, ArcKind::kSegment, 1, 1);
+  ASSERT_NE(middle, netflow::kInvalidArc);
+  EXPECT_EQ(sparse.graph.arc(middle).head, sparse.r_node[1]);
+  EXPECT_EQ(sparse.graph.arc(middle).cost, chain);
+  const netflow::ArcId first = find_arc(sparse, ArcKind::kSegment, 0, 0);
+  ASSERT_NE(first, netflow::kInvalidArc);
+  EXPECT_EQ(sparse.graph.arc(first).cost,
+            q.quantize(-e.e_mem_write() + e.e_reg_write()) + chain);
+  EXPECT_DOUBLE_EQ(sparse.base_energy, dense.base_energy);
 }
 
 TEST(FlowGraph, BypassCapacityEqualsRegisters) {
@@ -229,20 +252,47 @@ AllocationProblem random_static_problem(std::uint64_t seed, int period) {
                       energy::ActivityMatrix(n), split);
 }
 
+int count_of(const std::map<ArcKind, int>& kinds, ArcKind kind) {
+  const auto it = kinds.find(kind);
+  return it == kinds.end() ? 0 : it->second;
+}
+
+/// Places where two consecutive segments of one variable meet.
+int count_cuts(const AllocationProblem& p) {
+  int cuts = 0;
+  for (std::size_t i = 0; i + 1 < p.segments.size(); ++i) {
+    if (p.segments[i].var == p.segments[i + 1].var) ++cuts;
+  }
+  return cuts;
+}
+
 TEST(FlowGraph, SparseEncodingIsLinear) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const AllocationProblem p = random_static_problem(seed, 1 + seed % 2);
     ASSERT_TRUE(uses_sparse_encoding(p));
-    const auto s = static_cast<netflow::NodeId>(p.segments.size());
+    const auto s = static_cast<std::int64_t>(p.segments.size());
+    const int cuts = count_cuts(p);
     for (auto style : {GraphStyle::kDensityRegions, GraphStyle::kAllPairs}) {
       const FlowGraphSpec spec = build_flow_graph(p, style);
       ASSERT_FALSE(spec.hub_node.empty());
-      EXPECT_LE(spec.graph.num_nodes(), 4 * s + 4);
-      EXPECT_LE(spec.graph.num_arcs(), 6 * s + 4);
+      const auto hubs = static_cast<std::int64_t>(spec.hub_time.size());
       const auto kinds = count_kinds(spec);
-      EXPECT_EQ(kinds.count(ArcKind::kTransition), 0u);
-      EXPECT_EQ(kinds.at(ArcKind::kLeave), static_cast<int>(s));
-      EXPECT_EQ(kinds.at(ArcKind::kEnter), static_cast<int>(s));
+      const int idle = count_of(kinds, ArcKind::kIdle);
+      if (style == GraphStyle::kAllPairs) {
+        EXPECT_EQ(idle, hubs - 1);
+      } else {
+        EXPECT_LE(idle, hubs - 1);
+      }
+      const FlowGraphSize size =
+          sparse_graph_size(s, cuts, hubs, idle, p.num_registers > 0);
+      EXPECT_EQ(spec.graph.num_nodes(), size.nodes) << "seed " << seed;
+      EXPECT_EQ(spec.graph.num_arcs(), size.arcs) << "seed " << seed;
+      EXPECT_LE(size.nodes, 2 * s + 4);
+      EXPECT_LE(size.arcs, 4 * s + 4);
+      EXPECT_EQ(count_of(kinds, ArcKind::kTransition), 0);
+      EXPECT_EQ(count_of(kinds, ArcKind::kChain), 0);
+      EXPECT_EQ(count_of(kinds, ArcKind::kLeave), cuts);
+      EXPECT_EQ(count_of(kinds, ArcKind::kEnter), cuts);
       EXPECT_TRUE(std::is_sorted(spec.hub_time.begin(), spec.hub_time.end()));
     }
   }
@@ -256,18 +306,54 @@ TEST(FlowGraph, LeavePlusEnterCostsSumToDenseTransition) {
     const FlowGraphSpec dense =
         build_dense_flow_graph(p, GraphStyle::kAllPairs);
     ASSERT_FALSE(sparse.hub_node.empty());
-    std::vector<netflow::Cost> leave(p.segments.size(), netflow::kInfCost);
-    std::vector<netflow::Cost> enter(p.segments.size(), netflow::kInfCost);
+    const std::size_t n = p.segments.size();
+    const auto first = [&](std::size_t i) {
+      return i == 0 || p.segments[i - 1].var != p.segments[i].var;
+    };
+    const auto last = [&](std::size_t i) {
+      return i + 1 == n || p.segments[i + 1].var != p.segments[i].var;
+    };
+
+    // Read off the sparse arcs: a register holding segment i pays
+    // release(i) from w_i into the hub chain (its segment arc, then the
+    // leave arc at a cut), and one taking segment j from the hub chain
+    // pays take(j) up to r_j (the enter arc at a cut, then its segment
+    // arc).
+    std::vector<netflow::Cost> release(n, 0);
+    std::vector<netflow::Cost> take(n, 0);
     for (std::size_t a = 0; a < sparse.arc_info.size(); ++a) {
       const auto& info = sparse.arc_info[a];
       const netflow::Cost cost =
           sparse.graph.arc(static_cast<netflow::ArcId>(a)).cost;
-      if (info.kind == ArcKind::kLeave) {
-        leave[static_cast<std::size_t>(info.from_seg)] = cost;
+      if (info.kind == ArcKind::kSegment) {
+        release[static_cast<std::size_t>(info.from_seg)] += cost;
+        take[static_cast<std::size_t>(info.to_seg)] += cost;
+      } else if (info.kind == ArcKind::kLeave) {
+        release[static_cast<std::size_t>(info.from_seg)] += cost;
       } else if (info.kind == ArcKind::kEnter) {
-        enter[static_cast<std::size_t>(info.to_seg)] = cost;
+        take[static_cast<std::size_t>(info.to_seg)] += cost;
       }
     }
+
+    // The dense graph's segment arcs cost 0; it charges a first segment
+    // its source arc on the way in, and every segment its chain arc, or
+    // at the variable's death its sink arc, on the way out.
+    std::vector<netflow::Cost> before(n, 0);
+    std::vector<netflow::Cost> after(n, 0);
+    for (std::size_t a = 0; a < dense.arc_info.size(); ++a) {
+      const auto& info = dense.arc_info[a];
+      const netflow::Cost cost =
+          dense.graph.arc(static_cast<netflow::ArcId>(a)).cost;
+      if (info.kind == ArcKind::kFromSource &&
+          first(static_cast<std::size_t>(info.to_seg))) {
+        before[static_cast<std::size_t>(info.to_seg)] = cost;
+      } else if (info.kind == ArcKind::kChain ||
+                 (info.kind == ArcKind::kToSink &&
+                  last(static_cast<std::size_t>(info.from_seg)))) {
+        after[static_cast<std::size_t>(info.from_seg)] = cost;
+      }
+    }
+
     int transitions = 0;
     for (std::size_t a = 0; a < dense.arc_info.size(); ++a) {
       const auto& info = dense.arc_info[a];
@@ -278,13 +364,15 @@ TEST(FlowGraph, LeavePlusEnterCostsSumToDenseTransition) {
       switch (info.kind) {
         case ArcKind::kTransition:
           ++transitions;
-          EXPECT_EQ(leave[from] + enter[to], cost) << "seed " << seed;
+          EXPECT_EQ(release[from] + take[to],
+                    before[from] + cost + after[to])
+              << "seed " << seed << " " << from << " -> " << to;
           break;
         case ArcKind::kFromSource:
-          EXPECT_EQ(enter[to], cost) << "seed " << seed;
+          EXPECT_EQ(take[to], cost + after[to]) << "seed " << seed;
           break;
         case ArcKind::kToSink:
-          EXPECT_EQ(leave[from], cost) << "seed " << seed;
+          EXPECT_EQ(release[from], before[from] + cost) << "seed " << seed;
           break;
         default:
           break;
@@ -391,6 +479,39 @@ TEST(FlowGraph, EncodingFollowsTheInput) {
   // (1 unit) rounds to 4 ticks of 3, its halves to 3 + 0.
   EXPECT_TRUE(uses_sparse_encoding(base, energy::Quantizer(1.0)));
   EXPECT_FALSE(uses_sparse_encoding(base, energy::Quantizer(3.0)));
+}
+
+TEST(FlowGraph, NonPositiveCutCycleBuildsTheDenseGraph) {
+  // Spilling and reloading a variable at one read cut (hub -> cut -> hub)
+  // costs e_mem_write + e_reg_write. Here that is positive but quantises
+  // to 0 ticks, so an optimum could take the cycle: the dense graph it
+  // is.
+  energy::EnergyParams params;
+  params.mem_write = 1e-9;
+  params.reg_write = 0;
+  Lifetime v;
+  v.value = 0;
+  v.name = "v";
+  v.write_time = 1;
+  v.read_times = {3, 6};
+  const AllocationProblem p =
+      make_problem({v, lt("u", 2, 5)}, 7, 1, params,
+                   energy::ActivityMatrix(2));
+  const energy::Quantizer q;
+  ASSERT_GT(p.params.e_mem_write() + p.params.e_reg_write(), 0);
+  ASSERT_LE(p.params.e_reg_read(), p.params.e_mem_read());
+  ASSERT_EQ(q.quantize(p.params.e_mem_write()) +
+                q.quantize(p.params.e_reg_write()),
+            0);
+  EXPECT_FALSE(uses_sparse_encoding(p, q));
+  const FlowGraphSpec spec = build_flow_graph(p, GraphStyle::kAllPairs, q);
+  EXPECT_TRUE(spec.hub_node.empty());
+  EXPECT_EQ(count_of(count_kinds(spec), ArcKind::kChain), 1);
+
+  // A write one tick dearer makes the cycle positive again.
+  AllocationProblem dearer = p;
+  dearer.params.mem_write = 1.0;
+  EXPECT_TRUE(uses_sparse_encoding(dearer, q));
 }
 
 }  // namespace

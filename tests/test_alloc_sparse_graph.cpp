@@ -153,8 +153,26 @@ TEST(SparseGraph, CompileLargeBlocksMatchTheDenseOptimumUnderEveryBackend) {
     ASSERT_TRUE(uses_sparse_encoding(p));
     const FlowGraphSpec spec =
         build_flow_graph(p, GraphStyle::kDensityRegions);
-    const auto s = static_cast<netflow::ArcId>(p.segments.size());
-    EXPECT_LE(spec.graph.num_arcs(), 6 * s + 4) << b.vars << "/" << b.index;
+    std::int64_t cuts = 0;
+    for (std::size_t i = 0; i + 1 < p.segments.size(); ++i) {
+      cuts += p.segments[i].var == p.segments[i + 1].var ? 1 : 0;
+    }
+    const auto idle = std::count_if(
+        spec.arc_info.begin(), spec.arc_info.end(),
+        [](const FlowGraphSpec::ArcInfo& a) {
+          return a.kind == ArcKind::kIdle;
+        });
+    const FlowGraphSize size = sparse_graph_size(
+        static_cast<std::int64_t>(p.segments.size()), cuts,
+        static_cast<std::int64_t>(spec.hub_time.size()), idle, true);
+    EXPECT_EQ(spec.graph.num_nodes(), size.nodes) << b.vars << "/" << b.index;
+    EXPECT_EQ(spec.graph.num_arcs(), size.arcs) << b.vars << "/" << b.index;
+    if (b.vars == 1024 && b.index == 3) {
+      // perfbench's traced compile-large request at seed 1.
+      EXPECT_EQ(p.segments.size(), 1989u);
+      EXPECT_EQ(spec.graph.num_nodes(), 1470);
+      EXPECT_EQ(spec.graph.num_arcs(), 4423);
+    }
     if (b.vars <= 256) {
       // Small enough to solve the dense graph here too, which pins the
       // table to the dense optimum.
@@ -179,6 +197,56 @@ TEST(SparseGraph, CompileLargeBlocksMatchTheDenseOptimumUnderEveryBackend) {
       EXPECT_TRUE(validate_assignment(p, r.assignment).empty());
     }
   }
+}
+
+TEST(SparseGraph, NoOptimumSpillsAndReloadsAtOneCut) {
+  // hub -> cut -> hub costs more than 0 (uses_sparse_encoding), so no
+  // optimal flow, under either backend, sends a unit in through a cut's
+  // enter arc and out through its leave arc: every unit through a cut
+  // stays a register chain.
+  int cuts_checked = 0;
+  for (std::uint64_t seed = 1; seed <= 750; ++seed) {
+    AllocationProblem p = differential_problem(seed);
+    if (!uses_sparse_encoding(p)) continue;
+    const int peak = std::max(1, p.max_density());
+    p.num_registers = peak;
+    for (auto style : {GraphStyle::kDensityRegions, GraphStyle::kAllPairs}) {
+      const FlowGraphSpec spec = build_flow_graph(p, style);
+      // Per cut node: its enter arc and its leave arc.
+      std::vector<netflow::ArcId> enter(
+          static_cast<std::size_t>(spec.graph.num_nodes()),
+          netflow::kInvalidArc);
+      std::vector<netflow::ArcId> leave = enter;
+      for (std::size_t a = 0; a < spec.arc_info.size(); ++a) {
+        const auto id = static_cast<netflow::ArcId>(a);
+        if (spec.arc_info[a].kind == ArcKind::kEnter) {
+          enter[static_cast<std::size_t>(spec.graph.arc(id).head)] = id;
+        } else if (spec.arc_info[a].kind == ArcKind::kLeave) {
+          leave[static_cast<std::size_t>(spec.graph.arc(id).tail)] = id;
+        }
+      }
+      for (int r = 1; r <= peak; ++r) {
+        for (netflow::SolverKind kind :
+             {netflow::SolverKind::kSuccessiveShortestPaths,
+              netflow::SolverKind::kNetworkSimplex}) {
+          const netflow::FlowSolution sol =
+              netflow::solve_st_flow(spec.graph, spec.s, spec.t, r, kind);
+          if (!sol.optimal()) continue;
+          for (std::size_t v = 0; v < enter.size(); ++v) {
+            if (enter[v] == netflow::kInvalidArc) continue;
+            ASSERT_NE(leave[v], netflow::kInvalidArc);
+            ++cuts_checked;
+            EXPECT_FALSE(
+                sol.arc_flow[static_cast<std::size_t>(enter[v])] > 0 &&
+                sol.arc_flow[static_cast<std::size_t>(leave[v])] > 0)
+                << "seed " << seed << " R=" << r << " "
+                << netflow::to_string(kind);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cuts_checked, 10000);
 }
 
 /// The backend kAuto picks for \p p's allocation graph, from the shape

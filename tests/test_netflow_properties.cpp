@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "netflow/netflow.hpp"
 #include "workloads/random_gen.hpp"
 
@@ -106,6 +109,47 @@ TEST(RandomInstanceStress, SspMatchesNetworkSimplex) {
       EXPECT_TRUE(certify_optimal(g, ssp.arc_flow)) << "seed " << seed;
       EXPECT_TRUE(certify_optimal(g, ns.arc_flow)) << "seed " << seed;
     }
+  }
+}
+
+// Graphs whose cycles all cost more than 0 while single arcs may be
+// negative, as the sparse allocation graph's hub -> cut -> hub cycles
+// are: SSP's starting potentials come from repeated relaxation passes
+// instead of one topological pass, and must reach the same optimum.
+TEST(RandomInstanceStress, SspMatchesNetworkSimplexOnPositiveCycles) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const NodeId n = 20 + static_cast<NodeId>(seed % 30);
+    // Arc costs phi(head) - phi(tail) + a positive margin: every cycle
+    // costs the sum of its margins.
+    std::vector<Cost> phi(static_cast<std::size_t>(n));
+    for (Cost& x : phi) {
+      x = std::uniform_int_distribution<Cost>(-60, 60)(rng);
+    }
+    const auto cost = [&](NodeId u, NodeId v) {
+      return phi[static_cast<std::size_t>(v)] -
+             phi[static_cast<std::size_t>(u)] +
+             std::uniform_int_distribution<Cost>(1, 15)(rng);
+    };
+    Graph g(n);
+    for (NodeId v = 0; v + 1 < n; ++v) g.add_arc(v, v + 1, 8, cost(v, v + 1));
+    std::uniform_int_distribution<NodeId> node(0, n - 1);
+    for (int a = 0; a < 4 * n; ++a) {
+      const NodeId u = node(rng);
+      const NodeId v = node(rng);
+      if (u == v) continue;
+      const Flow cap = 1 + static_cast<Flow>(rng() % 3);
+      g.add_arc(u, v, cap, cost(u, v));
+    }
+    g.add_supply(0, 6);
+    g.add_supply(n - 1, -6);
+    ASSERT_TRUE(g.has_negative_costs());
+    const FlowSolution ssp = solve(g, SolverKind::kSuccessiveShortestPaths);
+    const FlowSolution ns = solve(g, SolverKind::kNetworkSimplex);
+    ASSERT_TRUE(ssp.optimal()) << "seed " << seed;
+    ASSERT_TRUE(ns.optimal()) << "seed " << seed;
+    EXPECT_EQ(ssp.cost, ns.cost) << "seed " << seed;
+    EXPECT_TRUE(certify_optimal(g, ssp.arc_flow)) << "seed " << seed;
   }
 }
 

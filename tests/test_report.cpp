@@ -51,23 +51,44 @@ TEST(Table, NumberFormatting) {
 }
 
 TEST(Dot, EmitsAllNodesAndArcs) {
-  const alloc::AllocationProblem p = workloads::figure3_problem();
-  const alloc::FlowGraphSpec spec =
+  // Figure 3 under the static model: a sparse graph. Its segments start
+  // and end at hubs, and a lifetime read twice adds the cut c0(<var>).
+  alloc::AllocationProblem p = workloads::figure3_problem();
+  p.lifetimes[0].read_times = {2, 3};
+  p.segments = lifetime::build_segments(p.lifetimes, p.num_steps);
+  p.refresh_density();
+  const alloc::FlowGraphSpec sparse =
       alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
-  std::ostringstream os;
-  write_dot(os, p, spec);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("digraph flow"), std::string::npos);
-  EXPECT_NE(out.find("\"s\""), std::string::npos);
-  EXPECT_NE(out.find("\"t\""), std::string::npos);
-  EXPECT_NE(out.find("w0(a)"), std::string::npos);
-  // One edge line per arc.
-  std::size_t edges = 0;
-  for (std::size_t pos = out.find(" -> "); pos != std::string::npos;
-       pos = out.find(" -> ", pos + 1)) {
-    ++edges;
+  ASSERT_FALSE(sparse.hub_node.empty());
+  const alloc::FlowGraphSpec dense =
+      alloc::build_dense_flow_graph(p, alloc::GraphStyle::kDensityRegions);
+  for (const alloc::FlowGraphSpec* spec : {&sparse, &dense}) {
+    std::ostringstream os;
+    write_dot(os, p, *spec);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("digraph flow"), std::string::npos);
+    EXPECT_NE(out.find("\"s\""), std::string::npos);
+    EXPECT_NE(out.find("\"t\""), std::string::npos);
+    const bool is_sparse = spec == &sparse;
+    EXPECT_EQ(out.find("\"c0(a)\"") != std::string::npos, is_sparse);
+    EXPECT_EQ(out.find("\"h0\"") != std::string::npos, is_sparse);
+    EXPECT_EQ(out.find("\"w0(a)\"") != std::string::npos, !is_sparse);
+    EXPECT_EQ(out.find("\"r1(a)\"") != std::string::npos, !is_sparse);
+    // One label per node, one edge line per arc.
+    std::size_t labels = 0;
+    for (std::size_t pos = out.find("[label=\""); pos != std::string::npos;
+         pos = out.find("[label=\"", pos + 1)) {
+      ++labels;
+    }
+    EXPECT_EQ(labels, static_cast<std::size_t>(spec->graph.num_nodes()));
+    EXPECT_EQ(out.find("[label=\"\"]"), std::string::npos);
+    std::size_t edges = 0;
+    for (std::size_t pos = out.find(" -> "); pos != std::string::npos;
+         pos = out.find(" -> ", pos + 1)) {
+      ++edges;
+    }
+    EXPECT_EQ(edges, static_cast<std::size_t>(spec->graph.num_arcs()));
   }
-  EXPECT_EQ(edges, static_cast<std::size_t>(spec.graph.num_arcs()));
 }
 
 TEST(Dot, HighlightsFlow) {
