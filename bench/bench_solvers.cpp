@@ -6,8 +6,9 @@
 // Besides the google-benchmark suites, `bench_solvers --smoke [out.json]`
 // runs a fixed CI smoke: cold-vs-workspace solver throughput, ns per
 // augmentation, a warm-start cost-perturbation sweep, and kAuto's regret
-// on allocation graphs, printed as grep-able "LERA_METRIC bench=solvers
-// ..." lines and optionally written as JSON for artifact upload.
+// and the simplex's pivot count on allocation graphs, printed as
+// grep-able "LERA_METRIC bench=solvers ..." lines and optionally written
+// as JSON for artifact upload.
 
 #include <benchmark/benchmark.h>
 
@@ -416,6 +417,7 @@ int run_smoke(const char* json_path) {
     double ms[3] = {0, 0, 0};
     netflow::Cost objective = 0;
     std::string choice;
+    std::int64_t simplex_pivots = 0;
     for (int r = 0; r < 3; ++r) {
       netflow::SolverWorkspace alloc_ws;
       netflow::SolveOptions options;
@@ -446,6 +448,9 @@ int run_smoke(const char* json_path) {
         }
         objective = sol.cost;
         if (diag.auto_selected) choice = netflow::to_string(diag.auto_choice);
+        if (kRuns[r].kind == netflow::SolverKind::kNetworkSimplex) {
+          simplex_pivots = diag.perf.simplex_pivots;
+        }
       }
       metrics.push_back(
           {cls.name + "_" + kRuns[r].name + "_ms", ms[r],
@@ -453,6 +458,10 @@ int run_smoke(const char* json_path) {
     }
     metrics.push_back({cls.name + "_auto_regret",
                        ms[2] / std::min(ms[0], ms[1]), "choice=" + choice});
+    // Pivots of one simplex solve: exact, so CI gates them without a
+    // noise band.
+    metrics.push_back({cls.name + "_simplex_pivots",
+                       static_cast<double>(simplex_pivots), shape});
   }
 
   for (const SmokeMetric& m : metrics) {

@@ -30,10 +30,31 @@ FlowSolution run_ssp(const Graph& g, SolveGuard* guard, SolverWorkspace& ws);
 FlowSolution run_cycle_canceling(const Graph& g, SolveGuard* guard,
                                  SolverWorkspace& ws);
 
-/// Primal network simplex with an artificial root, strongly feasible
-/// pivoting, and a candidate-list block-search pivot rule.
+/// Primal network simplex on Király–Kovács spanning-tree arrays (parent,
+/// pred, thread, succ_num, last_succ), strongly feasible pivoting and a
+/// candidate-list pivot rule. It starts from an artificial root with
+/// zero-cost arcs from the non-deficit nodes, big-M arcs to the deficit
+/// nodes, and the negative arcs saturated when simplex_saturated_start
+/// says so. Refuses with kBadInstance when big-M would leave kInfCost.
 FlowSolution run_network_simplex(const Graph& g, SolveGuard* guard,
                                  SolverWorkspace& ws);
+
+/// The simplex's start test. Saturating every finite-capacity
+/// negative-cost arc turns the supplies b into balances b' at the price
+/// of U, those arcs' total capacity; it is kept when sum|b'| - sum|b| <=
+/// U, that is when at least half of the imbalance it could create
+/// cancels out. Writes the start balances (b' when kept, b otherwise)
+/// into \p balance and returns whether any arc starts saturated.
+bool simplex_saturated_start(const Graph& g, std::vector<Flow>& balance);
+
+/// Test hook: run_network_simplex that checks the spanning tree at the
+/// start and after every pivot. The thread must be a preorder of the
+/// parent tree, succ_num and last_succ must agree with it, every tree
+/// arc must be tight and every non-tree arc at its bound, and the tree
+/// must be strongly feasible. Returns the first violation, or "" when
+/// every tree held; \p sol receives the solve's answer.
+std::string check_simplex_tree(const Graph& g, SolverWorkspace& ws,
+                               FlowSolution& sol);
 
 /// Drains every positive excess in \p res to a deficit node via
 /// successive shortest augmenting paths over reduced costs. Shared by

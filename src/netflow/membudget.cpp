@@ -22,7 +22,7 @@ namespace {
 ///   Graph CSR     m out ids + m in ids + 2(n+1) offsets
 ///   SSP           NodeState/pi/excess per node, heap bounded by 2m
 ///   simplex       SoA arrays over m+n arcs (artificial root arcs
-///                 included) + 8 per-node tree arrays
+///                 included) + 10 per-node arrays over n+1 nodes
 ///   cycle cancel  its own augmented residual (m+n arcs) + BF arrays
 constexpr std::int64_t kSlack = 4096;  ///< vectors round up; keep a floor
 
@@ -49,24 +49,10 @@ std::int64_t ssp_bytes(std::int64_t n, std::int64_t m) {
 }
 
 std::int64_t simplex_bytes(std::int64_t n, std::int64_t m) {
-  // The simplex adds one artificial arc per node to its arc arrays.
-  const std::int64_t ma = m + n;
-  const std::int64_t per_arc =
-      2 * static_cast<std::int64_t>(sizeof(NodeId)) +        // tail, head
-      2 * static_cast<std::int64_t>(sizeof(Flow)) +          // cap, flow
-      static_cast<std::int64_t>(sizeof(Cost)) +              // cost
-      static_cast<std::int64_t>(sizeof(signed char));        // state
-  const std::int64_t per_node =
-      6 * static_cast<std::int64_t>(sizeof(NodeId)) +  // parent, depth,
-                                                       // child x3, stack
-      static_cast<std::int64_t>(sizeof(ArcId)) +       // pred_arc
-      static_cast<std::int64_t>(sizeof(Cost));         // pi
-  // Pivot-cycle buffers are bounded by the tree diameter (<= n) and the
-  // candidate list by sqrt(m); both are inside the per-node slack below.
-  return ma * per_arc + (n + 1) * per_node +
-         n * (static_cast<std::int64_t>(sizeof(ArcId)) +
-              static_cast<std::int64_t>(sizeof(signed char)) +
-              static_cast<std::int64_t>(sizeof(NodeId)));
+  // One artificial arc per node and one artificial root; the candidate
+  // list (max(16, sqrt(m + n) / 4) arc ids) sits in kSlack.
+  return (m + n) * SimplexScratch::kArcBytes +
+         (n + 1) * SimplexScratch::kNodeBytes;
 }
 
 std::int64_t cycle_cancel_bytes(std::int64_t n, std::int64_t m) {

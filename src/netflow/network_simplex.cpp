@@ -1,35 +1,65 @@
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "netflow/internal_solvers.hpp"
 #include "netflow/workspace.hpp"
 
-/// Primal network simplex (Ahuja/Magnanti/Orlin ch. 11 formulation)
-/// with the candidate-list pivot rule and incremental tree maintenance
-/// from the Kiraly & Kovacs implementation study.
+/// Primal network simplex (Ahuja/Magnanti/Orlin ch. 11) on the
+/// spanning-tree arrays of the Király & Kovács implementation study, the
+/// ones LEMON's solver uses.
 ///
-/// An artificial root is connected to every node by a big-M arc carrying
-/// the node's initial imbalance, giving a strongly feasible starting
-/// basis. Entering arcs come from a candidate list: a major iteration
-/// scans arcs cyclically collecting violating arcs into a scratch-owned
-/// list, and minor iterations then pivot on the currently-most-violating
-/// list entry (stale entries are pruned as they are touched), so most
-/// pivots cost a list sweep instead of an arc-array sweep. The leaving
-/// arc is the *last* blocking arc met when traversing the pivot cycle
-/// along its orientation starting at the apex, which preserves strong
-/// feasibility and rules out cycling.
+/// Tree. Every node keeps its parent, its pred arc (the tree arc to the
+/// parent) with that arc's direction, thread / rev_thread (a doubly
+/// linked preorder of the whole tree), succ_num (its subtree's size) and
+/// last_succ (its subtree's last node in the preorder). A pivot finds the
+/// join node by stepping up from whichever side has the smaller subtree,
+/// and the leaving arc with one walk up to the join from each end of the
+/// entering arc. The moved subtree is re-rooted at the entering arc's end
+/// inside it: its thread is cut into the pieces hanging off the stem (the
+/// path from that end up to the leaving arc), which are spliced in after
+/// the entering arc's other end in reversed stem order. Its potentials
+/// then shift along the thread by the one constant that makes the
+/// entering arc tight; the tree arcs inside it do not change.
 ///
-/// The spanning tree is maintained incrementally: the child lists are
-/// doubly linked and updated only for the nodes re-parented by the
-/// basis exchange, and the potential/depth update walks just the
-/// re-hung subtree — every potential inside it shifts by the one
-/// constant that makes the entering arc tight, because the tree arcs
-/// *inside* the subtree are unchanged. This replaces the old O(n)
-/// full-tree refresh per pivot; the computed values are identical (the
-/// tree and pi(root)=0 determine them uniquely), so results are
-/// bit-identical to a full refresh under the same pivot sequence.
+/// Start. An artificial root joins every node. A node whose start
+/// balance is >= 0 hangs from it on a zero-cost arc carrying the balance
+/// up; only a deficit node hangs on a big-M arc carrying its demand down.
+/// That tree is strongly feasible, and big-M, max |cost| * (nodes + 2) +
+/// 1, exceeds the cost of any simple path, so flow left on an artificial
+/// arc at the optimum proves the instance infeasible. Big-M must stay
+/// within kInfCost, which leaves potentials (below 2 big-M) and reduced
+/// costs (below 3 big-M) room to never overflow; costs that do not allow
+/// it are refused as kBadInstance.
+///
+/// Saturated start, kept only when its arcs chain. With b the supplies,
+/// b' the balances once every finite-capacity negative-cost arc is set to
+/// its capacity, and U those arcs' total capacity, the start keeps them
+/// at their upper bound when sum|b'| - sum|b| <= U, that is when at
+/// least half of the imbalance they could create cancels out, and starts
+/// every arc at zero otherwise. On the sparse allocation graphs the
+/// negative segment arcs chain through the cut nodes and the imbalance
+/// lands on the hubs alone, so the test keeps them, and the tree starts
+/// with those arcs already priced right; on the dense graphs the O(s^2)
+/// negative transitions do not chain, pushing them all at once would be
+/// mostly undone pivot by pivot, and the test drops them.
+///
+/// Pricing. Only the real arcs are priced: an artificial arc leaves the
+/// tree empty, and an optimum that needs it again would carry flow
+/// through the root, which the big-M argument above rules out for a
+/// feasible instance. Entering arcs come from a candidate list: a major
+/// iteration scans arcs cyclically, collecting up to list_size_
+/// violating arcs into a scratch-owned list, and minor iterations pivot
+/// on the most violating entry (stale entries are pruned as they are
+/// touched), so most pivots cost a list sweep instead of an arc sweep.
+///
+/// Leaving arc: the *last* blocking arc met when traversing the pivot
+/// cycle along its orientation from the join, which keeps the tree
+/// strongly feasible and rules out cycling. The walk up from the cycle's
+/// start takes a strictly smaller slack only, the walk up from its end
+/// takes ties too. The slack is at most the entering arc's capacity, so
+/// a negative cycle of kInfFlow arcs carries kInfFlow, as under SSP.
 ///
 /// All state lives in SoA arrays borrowed from a SimplexScratch, so a
 /// reused workspace makes repeated solves allocation-free.
@@ -38,90 +68,150 @@ namespace lera::netflow::internal {
 
 namespace {
 
-constexpr signed char kTree = 0;
+// Arc states, signed so that -state * reduced cost is a non-tree arc's
+// optimality violation and state * delta its flow change in a pivot.
 constexpr signed char kLower = 1;
-constexpr signed char kUpper = 2;
+constexpr signed char kTree = 0;
+constexpr signed char kUpper = -1;
+
+// Direction of a node's pred arc: up when the node is the arc's tail.
+constexpr signed char kUp = 1;
+constexpr signed char kDown = -1;
+
+/// Arcs the saturated start sets at their upper bound.
+bool saturable(const Arc& arc) {
+  return arc.cost < 0 && arc.upper < kInfFlow;
+}
+
+/// max |cost| * (nodes + 2) + 1 into \p big_m; false when a cost or the
+/// result leaves kInfCost.
+bool artificial_cost(const Graph& g, Cost& big_m) {
+  Cost max_abs_cost = 1;
+  for (ArcId a = 0; a < g.num_arcs(); ++a) {
+    const Cost c = g.arc(a).cost;
+    if (c > kInfCost || c < -kInfCost) return false;
+    max_abs_cost = std::max(max_abs_cost, c < 0 ? -c : c);
+  }
+  Cost scaled = 0;
+  return checked_mul(max_abs_cost, static_cast<Cost>(g.num_nodes()) + 2,
+                     scaled) &&
+         checked_add(scaled, 1, big_m) && big_m <= kInfCost;
+}
 
 class NetworkSimplex {
  public:
-  NetworkSimplex(const Graph& g, SimplexScratch& s)
-      : s_(s), orig_arcs_(g.num_arcs()) {
+  NetworkSimplex(const Graph& g, Cost big_m, SimplexScratch& s)
+      : s_(s), real_arcs_(g.num_arcs()), root_(g.num_nodes()) {
     const NodeId n = g.num_nodes();
-    root_ = n;
-    num_nodes_ = n + 1;
-    const auto total_arcs =
-        static_cast<std::size_t>(orig_arcs_) + static_cast<std::size_t>(n);
+    const auto nodes = static_cast<std::size_t>(n) + 1;
+    const auto arcs = static_cast<std::size_t>(real_arcs_) + nodes - 1;
+    const std::size_t block_size = std::max<std::size_t>(
+        64, static_cast<std::size_t>(std::sqrt(static_cast<double>(arcs))));
+    list_size_ = std::max<std::size_t>(16, block_size / 4);
+    minor_limit_ = std::max<std::size_t>(4, list_size_ / 4);
 
-    // Announce the dominant allocation (arc SoA + node arrays) to the
-    // budget/failpoint seam before any reserve can actually allocate.
+    // Announce every array below to the budget/failpoint seam before
+    // any of them can allocate.
     detail::alloc_tick(
-        static_cast<std::int64_t>(total_arcs) *
-            static_cast<std::int64_t>(2 * sizeof(NodeId) + 2 * sizeof(Flow) +
-                                      sizeof(Cost) + sizeof(signed char)) +
-        static_cast<std::int64_t>(num_nodes_) *
-            static_cast<std::int64_t>(5 * sizeof(NodeId) + sizeof(ArcId) +
-                                      sizeof(Cost)));
-
-    s_.tail.clear();
-    s_.head.clear();
-    s_.cap.clear();
-    s_.cost.clear();
-    s_.flow.clear();
-    s_.state.clear();
-    s_.tail.reserve(total_arcs);
-    s_.head.reserve(total_arcs);
-    s_.cap.reserve(total_arcs);
-    s_.cost.reserve(total_arcs);
-    s_.flow.reserve(total_arcs);
-    s_.state.reserve(total_arcs);
-
-    Cost max_abs_cost = 1;
-    for (ArcId a = 0; a < g.num_arcs(); ++a) {
-      const Arc& arc = g.arc(a);
-      push_arc(arc.tail, arc.head, arc.upper, arc.cost, 0, kLower);
-      max_abs_cost = std::max(max_abs_cost, std::abs(arc.cost));
-    }
-    const Cost big_m = max_abs_cost * static_cast<Cost>(num_nodes_ + 1) + 1;
-
-    s_.parent.assign(static_cast<std::size_t>(num_nodes_), kInvalidNode);
-    s_.pred_arc.assign(static_cast<std::size_t>(num_nodes_), kInvalidArc);
-    s_.depth.assign(static_cast<std::size_t>(num_nodes_), 0);
-    s_.pi.assign(static_cast<std::size_t>(num_nodes_), 0);
-    s_.child_first.assign(static_cast<std::size_t>(num_nodes_), kInvalidNode);
-    s_.child_next.assign(static_cast<std::size_t>(num_nodes_), kInvalidNode);
-    s_.child_prev.assign(static_cast<std::size_t>(num_nodes_), kInvalidNode);
+        static_cast<std::int64_t>(arcs) * SimplexScratch::kArcBytes +
+        static_cast<std::int64_t>(nodes) * SimplexScratch::kNodeBytes +
+        static_cast<std::int64_t>(list_size_ * sizeof(ArcId)));
+    s_.tail.resize(arcs);
+    s_.head.resize(arcs);
+    s_.cap.resize(arcs);
+    s_.cost.resize(arcs);
+    s_.flow.resize(arcs);
+    s_.state.resize(arcs);
+    s_.parent.resize(nodes);
+    s_.pred.resize(nodes);
+    s_.pred_dir.resize(nodes);
+    s_.thread.resize(nodes);
+    s_.rev_thread.resize(nodes);
+    s_.succ_num.resize(nodes);
+    s_.last_succ.resize(nodes);
+    s_.pi.resize(nodes);
+    s_.dirty.clear();
+    s_.dirty.reserve(nodes);
     s_.candidates.clear();
+    s_.candidates.reserve(list_size_);
+    const bool saturate = simplex_saturated_start(g, s_.balance);
 
-    // Artificial big-M arcs form the initial spanning-tree basis: every
-    // node is a depth-1 child of the root, with pi = -/+ big_m making
-    // its basis arc tight.
+    tail_ = s_.tail.data();
+    head_ = s_.head.data();
+    cap_ = s_.cap.data();
+    cost_ = s_.cost.data();
+    flow_ = s_.flow.data();
+    state_ = s_.state.data();
+    parent_ = s_.parent.data();
+    pred_ = s_.pred.data();
+    pred_dir_ = s_.pred_dir.data();
+    thread_ = s_.thread.data();
+    rev_thread_ = s_.rev_thread.data();
+    succ_num_ = s_.succ_num.data();
+    last_succ_ = s_.last_succ.data();
+    pi_ = s_.pi.data();
+
+    for (ArcId a = 0; a < real_arcs_; ++a) {
+      const Arc& arc = g.arc(a);
+      const bool full = saturate && saturable(arc);
+      tail_[a] = arc.tail;
+      head_[a] = arc.head;
+      cap_[a] = arc.upper;
+      cost_[a] = arc.cost;
+      flow_[a] = full ? arc.upper : 0;
+      state_[a] = full ? kUpper : kLower;
+    }
+
+    // The start tree: every node a leaf of the root, threaded in id
+    // order, with the potential that makes its artificial arc tight.
+    parent_[root_] = kInvalidNode;
+    pred_[root_] = kInvalidArc;
+    pred_dir_[root_] = kUp;
+    thread_[root_] = n > 0 ? 0 : root_;
+    rev_thread_[n > 0 ? 0 : root_] = root_;
+    succ_num_[root_] = n + 1;
+    last_succ_[root_] = n > 0 ? n - 1 : root_;
+    pi_[root_] = 0;
     for (NodeId v = 0; v < n; ++v) {
-      const Flow b = g.supply(v);
-      const ArcId a = static_cast<ArcId>(s_.tail.size());
+      const ArcId a = real_arcs_ + v;
+      const Flow b = s_.balance[static_cast<std::size_t>(v)];
+      parent_[v] = root_;
+      pred_[v] = a;
+      thread_[v] = v + 1;
+      rev_thread_[v + 1] = v;
+      succ_num_[v] = 1;
+      last_succ_[v] = v;
+      cap_[a] = kInfFlow;
+      state_[a] = kTree;
       if (b >= 0) {
-        push_arc(v, root_, kInfFlow, big_m, b, kTree);
-        s_.pi[static_cast<std::size_t>(v)] = -big_m;
+        tail_[a] = v;
+        head_[a] = root_;
+        cost_[a] = 0;
+        flow_[a] = b;
+        pred_dir_[v] = kUp;
+        pi_[v] = 0;
       } else {
-        push_arc(root_, v, kInfFlow, big_m, -b, kTree);
-        s_.pi[static_cast<std::size_t>(v)] = big_m;
+        tail_[a] = root_;
+        head_[a] = v;
+        cost_[a] = big_m;
+        flow_[a] = -b;
+        pred_dir_[v] = kDown;
+        pi_[v] = big_m;
       }
-      s_.parent[static_cast<std::size_t>(v)] = root_;
-      s_.pred_arc[static_cast<std::size_t>(v)] = a;
-      s_.depth[static_cast<std::size_t>(v)] = 1;
-      link_child(root_, v);
     }
   }
 
-  FlowSolution run(const Graph& g, SolveGuard* guard, PerfCounters& pc) {
-    const std::size_t num_arcs = s_.tail.size();
-    block_size_ = std::max<std::size_t>(
-        64, static_cast<std::size_t>(
-                std::sqrt(static_cast<double>(num_arcs))));
-    list_size_ = std::max<std::size_t>(16, block_size_ / 4);
-    minor_limit_ = std::max<std::size_t>(4, list_size_ / 4);
-    scan_start_ = 0;
-    minor_left_ = 0;
-
+  /// Pivots to optimality. With \p tree_violation set, checks the tree
+  /// at the start and after every pivot, and stops at the first
+  /// violation, which it leaves there.
+  FlowSolution run(const Graph& g, SolveGuard* guard, PerfCounters& pc,
+                   std::string* tree_violation) {
+    const auto tree_broken = [&]() {
+      if (tree_violation == nullptr) return false;
+      *tree_violation = check_tree();
+      return !tree_violation->empty();
+    };
+    if (tree_broken()) return {};
     for (;;) {
       if (guard != nullptr && !guard->tick()) {
         return budget_exceeded(SolverKind::kNetworkSimplex);
@@ -130,75 +220,30 @@ class NetworkSimplex {
       if (entering == kInvalidArc) break;
       pivot(entering);
       ++pc.simplex_pivots;
+      if (tree_broken()) return {};
     }
 
     // Positive flow left on an artificial arc means no feasible b-flow.
-    for (std::size_t a = static_cast<std::size_t>(orig_arcs_); a < num_arcs;
-         ++a) {
-      if (s_.flow[a] > 0) return {};
+    for (ArcId a = real_arcs_; a < real_arcs_ + root_; ++a) {
+      if (flow_[a] > 0) return {};
     }
 
     FlowSolution sol;
     sol.status = SolveStatus::kOptimal;
-    sol.arc_flow.assign(
-        s_.flow.begin(),
-        s_.flow.begin() + static_cast<std::ptrdiff_t>(orig_arcs_));
-    for (ArcId a = 0; a < orig_arcs_; ++a) {
+    sol.arc_flow.assign(flow_, flow_ + real_arcs_);
+    for (ArcId a = 0; a < real_arcs_; ++a) {
       sol.cost += g.arc(a).cost * sol.arc_flow[static_cast<std::size_t>(a)];
     }
     return sol;
   }
 
  private:
-  void push_arc(NodeId tail, NodeId head, Flow cap, Cost cost, Flow flow,
-                signed char state) {
-    s_.tail.push_back(tail);
-    s_.head.push_back(head);
-    s_.cap.push_back(cap);
-    s_.cost.push_back(cost);
-    s_.flow.push_back(flow);
-    s_.state.push_back(state);
-  }
-
   Cost reduced_cost(ArcId a) const {
-    const auto i = static_cast<std::size_t>(a);
-    return s_.cost[i] + s_.pi[static_cast<std::size_t>(s_.tail[i])] -
-           s_.pi[static_cast<std::size_t>(s_.head[i])];
+    return cost_[a] + pi_[tail_[a]] - pi_[head_[a]];
   }
 
-  /// Optimality violation of a non-tree arc (0 when none).
-  Cost violation(ArcId a) const {
-    const auto i = static_cast<std::size_t>(a);
-    if (s_.state[i] == kLower) return -reduced_cost(a);
-    if (s_.state[i] == kUpper) return reduced_cost(a);
-    return 0;
-  }
-
-  /// O(1) doubly-linked child-list surgery.
-  void link_child(NodeId p, NodeId c) {
-    const auto pc = static_cast<std::size_t>(p);
-    const auto cc = static_cast<std::size_t>(c);
-    s_.child_prev[cc] = kInvalidNode;
-    s_.child_next[cc] = s_.child_first[pc];
-    if (s_.child_first[pc] != kInvalidNode) {
-      s_.child_prev[static_cast<std::size_t>(s_.child_first[pc])] = c;
-    }
-    s_.child_first[pc] = c;
-  }
-
-  void unlink_child(NodeId p, NodeId c) {
-    const auto cc = static_cast<std::size_t>(c);
-    const NodeId prev = s_.child_prev[cc];
-    const NodeId next = s_.child_next[cc];
-    if (prev != kInvalidNode) {
-      s_.child_next[static_cast<std::size_t>(prev)] = next;
-    } else {
-      s_.child_first[static_cast<std::size_t>(p)] = next;
-    }
-    if (next != kInvalidNode) {
-      s_.child_prev[static_cast<std::size_t>(next)] = prev;
-    }
-  }
+  /// Optimality violation of an arc: positive when it should enter.
+  Cost violation(ArcId a) const { return -state_[a] * reduced_cost(a); }
 
   /// Candidate-list pivot rule. Minor iterations pick the currently
   /// most-violating arc from the scratch list, pruning entries whose
@@ -231,7 +276,7 @@ class NetworkSimplex {
       // Major iteration: rebuild the list by cyclic block scan.
       s_.candidates.clear();
       minor_left_ = minor_limit_;
-      const std::size_t num_arcs = s_.tail.size();
+      const auto num_arcs = static_cast<std::size_t>(real_arcs_);
       std::size_t scanned = 0;
       std::size_t i = scan_start_;
       while (scanned < num_arcs && s_.candidates.size() < list_size_) {
@@ -247,201 +292,382 @@ class NetworkSimplex {
     }
   }
 
-  void pivot(ArcId entering) {
-    const auto ei = static_cast<std::size_t>(entering);
-    const bool increasing = s_.state[ei] == kLower;
-    // Push direction p -> q through the entering arc.
-    const NodeId p = increasing ? s_.tail[ei] : s_.head[ei];
-    const NodeId q = increasing ? s_.head[ei] : s_.tail[ei];
+  void pivot(ArcId in_arc) {
+    const NodeId tail = tail_[in_arc];
+    const NodeId head = head_[in_arc];
 
-    const NodeId join = find_join(p, q);
-
-    // Cycle traversal along the orientation starting at the apex:
-    //   join --(tree, downward)--> p --(entering)--> q --(tree, up)--> join.
-    // Collect (arc, forward?) in that order; forward means the push goes
-    // with the arc's own direction. Steps live in scratch-owned parallel
-    // arrays (cycle_arc / cycle_dir / cycle_below).
-    s_.cycle_arc.clear();
-    s_.cycle_dir.clear();
-    s_.cycle_below.clear();
-
-    // p-side: path p..join collected bottom-up, then reversed so the
-    // traversal runs join -> p. Walking down from join towards p, the
-    // push direction at tree arc (w, parent(w)) is parent(w) -> w.
-    for (NodeId w = p; w != join; w = s_.parent[static_cast<std::size_t>(w)]) {
-      const ArcId t = s_.pred_arc[static_cast<std::size_t>(w)];
-      const bool with_dir = s_.tail[static_cast<std::size_t>(t)] ==
-                            s_.parent[static_cast<std::size_t>(w)];
-      s_.cycle_arc.push_back(t);
-      s_.cycle_dir.push_back(with_dir ? 1 : 0);
-      s_.cycle_below.push_back(w);
+    // Join node: an ancestor's subtree is strictly larger than any of
+    // its descendants', so stepping up the smaller side meets at the
+    // lowest common ancestor.
+    NodeId a = tail;
+    NodeId b = head;
+    while (a != b) {
+      if (succ_num_[a] < succ_num_[b]) {
+        a = parent_[a];
+      } else {
+        b = parent_[b];
+      }
     }
-    std::reverse(s_.cycle_arc.begin(), s_.cycle_arc.end());
-    std::reverse(s_.cycle_dir.begin(), s_.cycle_dir.end());
-    std::reverse(s_.cycle_below.begin(), s_.cycle_below.end());
+    const NodeId join = a;
 
-    s_.cycle_arc.push_back(entering);
-    s_.cycle_dir.push_back(increasing ? 1 : 0);
-    s_.cycle_below.push_back(kInvalidNode);
-
-    // q-side: walking up from q to join; push direction w -> parent(w).
-    for (NodeId w = q; w != join; w = s_.parent[static_cast<std::size_t>(w)]) {
-      const ArcId t = s_.pred_arc[static_cast<std::size_t>(w)];
-      const bool with_dir = s_.tail[static_cast<std::size_t>(t)] == w;
-      s_.cycle_arc.push_back(t);
-      s_.cycle_dir.push_back(with_dir ? 1 : 0);
-      s_.cycle_below.push_back(w);
-    }
-
-    // Bottleneck and leaving arc: the LAST blocking arc along the
-    // traversal preserves strong feasibility (AMO §11.13).
-    const std::size_t num_steps = s_.cycle_arc.size();
-    Flow delta = kInfFlow;
-    std::size_t leave_index = num_steps;
-    for (std::size_t idx = 0; idx < num_steps; ++idx) {
-      const auto ai = static_cast<std::size_t>(s_.cycle_arc[idx]);
-      const Flow slack =
-          s_.cycle_dir[idx] != 0 ? s_.cap[ai] - s_.flow[ai] : s_.flow[ai];
+    // The push runs through the entering arc from `first` to `second`,
+    // up to the join and back down to `first`. The leaving arc is the
+    // last blocking arc of that traversal from the join: on the way up
+    // from `first` (traversed downward) the one nearest `first`, so a
+    // strict improvement; on the way up from `second` the one nearest
+    // the join, so ties too; the entering arc sits between the two.
+    const NodeId first = state_[in_arc] == kLower ? tail : head;
+    const NodeId second = first == tail ? head : tail;
+    Flow delta = cap_[in_arc];
+    NodeId u_out = kInvalidNode;
+    bool out_on_first = false;
+    for (NodeId w = first; w != join; w = parent_[w]) {
+      const ArcId t = pred_[w];
+      const Flow slack = pred_dir_[w] == kUp ? flow_[t] : cap_[t] - flow_[t];
       if (slack < delta) {
         delta = slack;
-        leave_index = idx;
-      } else if (slack == delta) {
-        leave_index = idx;
+        u_out = w;
+        out_on_first = true;
       }
     }
-    assert(leave_index < num_steps);
-    assert(delta < kInfFlow && "unbounded pivot; use finite capacities");
+    for (NodeId w = second; w != join; w = parent_[w]) {
+      const ArcId t = pred_[w];
+      const Flow slack = pred_dir_[w] == kUp ? cap_[t] - flow_[t] : flow_[t];
+      if (slack <= delta) {
+        delta = slack;
+        u_out = w;
+        out_on_first = false;
+      }
+    }
 
     if (delta > 0) {
-      for (std::size_t idx = 0; idx < num_steps; ++idx) {
-        const auto ai = static_cast<std::size_t>(s_.cycle_arc[idx]);
-        s_.flow[ai] += s_.cycle_dir[idx] != 0 ? delta : -delta;
+      const Flow val = state_[in_arc] * delta;
+      flow_[in_arc] += val;
+      for (NodeId w = tail; w != join; w = parent_[w]) {
+        flow_[pred_[w]] -= pred_dir_[w] * val;
+      }
+      for (NodeId w = head; w != join; w = parent_[w]) {
+        flow_[pred_[w]] += pred_dir_[w] * val;
       }
     }
 
-    const ArcId leaving_arc = s_.cycle_arc[leave_index];
-    const NodeId leaving_below = s_.cycle_below[leave_index];
-    if (leaving_arc == entering) {
-      // Degenerate-in-structure pivot: the entering arc saturates without
-      // changing the basis; it flips to the other bound.
-      s_.state[ei] = increasing ? kUpper : kLower;
+    if (u_out == kInvalidNode) {
+      // The entering arc blocks first: it flips to its other bound and
+      // the tree stays.
+      state_[in_arc] = -state_[in_arc];
       return;
     }
+    const ArcId out_arc = pred_[u_out];
+    state_[out_arc] = flow_[out_arc] == 0 ? kLower : kUpper;
+    state_[in_arc] = kTree;
 
-    // The potential shift that will make the entering arc tight, taken
-    // BEFORE any tree surgery (it reads the pre-pivot potentials).
-    const Cost rc_entering = reduced_cost(entering);
+    // Removing the leaving arc detaches u_out's subtree; u_in is the
+    // entering arc's end inside it, v_in the end outside.
+    const NodeId u_in = out_on_first ? first : second;
+    const NodeId v_in = out_on_first ? second : first;
+    update_tree(in_arc, join, u_in, v_in, u_out);
 
-    // The leaving tree arc drops to whichever bound it hit.
-    s_.state[static_cast<std::size_t>(leaving_arc)] =
-        s_.flow[static_cast<std::size_t>(leaving_arc)] == 0 ? kLower : kUpper;
-    s_.state[ei] = kTree;
+    // Shift the moved subtree's potentials so the entering arc is tight.
+    const Cost sigma =
+        pi_[v_in] - pi_[u_in] - pred_dir_[u_in] * cost_[in_arc];
+    const NodeId end = thread_[last_succ_[u_in]];
+    for (NodeId w = u_in; w != end; w = thread_[w]) pi_[w] += sigma;
+  }
 
-    // Removing the leaving arc detaches the subtree rooted at
-    // leaving_below; exactly one endpoint of the entering arc lies in it.
-    // (in_detached_subtree reads the pre-pivot depths, which are still
-    // intact — they are only rewritten by the subtree walk below.)
-    const NodeId detached_root = leaving_below;
-    const NodeId in_subtree =
-        in_detached_subtree(s_.tail[ei], detached_root) ? s_.tail[ei]
-                                                        : s_.head[ei];
-    assert(in_detached_subtree(in_subtree, detached_root));
-    const NodeId outside =
-        in_subtree == s_.tail[ei] ? s_.head[ei] : s_.tail[ei];
+  /// Re-hangs u_out's subtree from v_in through in_arc, re-rooted at
+  /// u_in, and repairs parent, pred, pred_dir, thread, rev_thread,
+  /// succ_num and last_succ.
+  void update_tree(ArcId in_arc, NodeId join, NodeId u_in, NodeId v_in,
+                   NodeId u_out) {
+    const NodeId old_rev_thread = rev_thread_[u_out];
+    const NodeId old_succ_num = succ_num_[u_out];
+    const NodeId old_last_succ = last_succ_[u_out];
+    const NodeId v_out = parent_[u_out];
 
-    // Re-root the detached subtree at in_subtree by reversing the parent
-    // chain in_subtree -> ... -> detached_root, then hang it on outside.
-    // The child lists are patched alongside: each re-parented node is
-    // unlinked from its old parent and linked to its new one, so the
-    // lists stay exact without any rebuild.
-    NodeId child = in_subtree;
-    NodeId child_parent = s_.parent[static_cast<std::size_t>(child)];
-    ArcId child_arc = s_.pred_arc[static_cast<std::size_t>(child)];
-    unlink_child(child_parent, in_subtree);
-    link_child(outside, in_subtree);
-    s_.parent[static_cast<std::size_t>(in_subtree)] = outside;
-    s_.pred_arc[static_cast<std::size_t>(in_subtree)] = entering;
-    while (child != detached_root) {
-      const NodeId next_parent =
-          s_.parent[static_cast<std::size_t>(child_parent)];
-      const ArcId next_arc = s_.pred_arc[static_cast<std::size_t>(child_parent)];
-      unlink_child(next_parent, child_parent);
-      link_child(child, child_parent);
-      s_.parent[static_cast<std::size_t>(child_parent)] = child;
-      s_.pred_arc[static_cast<std::size_t>(child_parent)] = child_arc;
-      child = child_parent;
-      child_parent = next_parent;
-      child_arc = next_arc;
+    if (u_in == u_out) {
+      // The subtree keeps its root: move its thread segment to right
+      // after v_in, unless it is there already.
+      parent_[u_in] = v_in;
+      if (thread_[v_in] != u_out) {
+        NodeId after = thread_[old_last_succ];
+        thread_[old_rev_thread] = after;
+        rev_thread_[after] = old_rev_thread;
+        after = thread_[v_in];
+        thread_[v_in] = u_out;
+        rev_thread_[u_out] = v_in;
+        thread_[old_last_succ] = after;
+        rev_thread_[after] = old_last_succ;
+      }
+    } else {
+      // The node the moved subtree's thread continues to: v_in's
+      // successor, or, when the subtree already follows v_in, the node
+      // after the subtree.
+      const NodeId thread_continue = old_rev_thread == v_in
+                                         ? thread_[old_last_succ]
+                                         : thread_[v_in];
+      // Walk the stem u_in -> u_out. Each stem node's piece (its subtree
+      // less the previous stem node's) is cut out of the old thread and
+      // chained after the previous piece, so the pieces follow v_in in
+      // stem order; parents along the stem reverse as we go.
+      NodeId stem = u_in;
+      NodeId par_stem = v_in;
+      NodeId last = last_succ_[u_in];
+      NodeId after = thread_[last];
+      thread_[v_in] = u_in;
+      s_.dirty.clear();
+      s_.dirty.push_back(v_in);
+      while (stem != u_out) {
+        const NodeId next_stem = parent_[stem];
+        thread_[last] = next_stem;
+        s_.dirty.push_back(last);
+        const NodeId before = rev_thread_[stem];
+        thread_[before] = after;
+        rev_thread_[after] = before;
+        parent_[stem] = par_stem;
+        par_stem = stem;
+        stem = next_stem;
+        // The next piece ends where the stem node's subtree does, or
+        // just before the previous stem node when that subtree ended it.
+        last = last_succ_[stem] == last_succ_[par_stem]
+                   ? rev_thread_[par_stem]
+                   : last_succ_[stem];
+        after = thread_[last];
+      }
+      parent_[u_out] = par_stem;
+      thread_[last] = thread_continue;
+      rev_thread_[thread_continue] = last;
+      last_succ_[u_out] = last;
+      // Close the gap the subtree left (already closed when it followed
+      // v_in).
+      if (old_rev_thread != v_in) {
+        thread_[old_rev_thread] = after;
+        rev_thread_[after] = old_rev_thread;
+      }
+      for (const NodeId u : s_.dirty) rev_thread_[thread_[u]] = u;
+
+      // Stem nodes from u_out down to u_in take the pred arc of the node
+      // that is now their parent, reversed, and the sizes and last node
+      // of their new subtrees.
+      NodeId size = 0;
+      const NodeId stem_last = last_succ_[u_out];
+      for (NodeId u = u_out, p = parent_[u]; u != u_in;
+           u = p, p = parent_[u]) {
+        pred_[u] = pred_[p];
+        pred_dir_[u] = static_cast<signed char>(-pred_dir_[p]);
+        size += succ_num_[u] - succ_num_[p];
+        succ_num_[u] = size;
+        last_succ_[p] = stem_last;
+      }
+      succ_num_[u_in] = old_succ_num;
+    }
+    pred_[u_in] = in_arc;
+    pred_dir_[u_in] = u_in == tail_[in_arc] ? kUp : kDown;
+
+    // last_succ above v_in: subtrees that ended at v_in now end where
+    // the moved subtree does. Above v_out: subtrees that ended with the
+    // moved subtree now end just before it, or where the moved subtree
+    // ends when it went back in the same place. Neither walk passes the
+    // join when the v_in walk already rewrote it.
+    const NodeId up_limit_out =
+        last_succ_[join] == v_in ? join : kInvalidNode;
+    const NodeId last_succ_out = last_succ_[u_out];
+    for (NodeId u = v_in; u != kInvalidNode && last_succ_[u] == v_in;
+         u = parent_[u]) {
+      last_succ_[u] = last_succ_out;
+    }
+    if (join != old_rev_thread && v_in != old_rev_thread) {
+      for (NodeId u = v_out;
+           u != up_limit_out && last_succ_[u] == old_last_succ;
+           u = parent_[u]) {
+        last_succ_[u] = old_rev_thread;
+      }
+    } else if (last_succ_out != old_last_succ) {
+      for (NodeId u = v_out;
+           u != up_limit_out && last_succ_[u] == old_last_succ;
+           u = parent_[u]) {
+        last_succ_[u] = last_succ_out;
+      }
     }
 
-    // Subtree-only update. Tree arcs inside the re-hung subtree are
-    // unchanged, so all its potentials shift by the one constant that
-    // zeroes the entering arc's reduced cost; depths are recomputed by
-    // a DFS over the (exact) child lists of the subtree alone.
-    const Cost delta_pi =
-        in_subtree == s_.tail[ei] ? -rc_entering : rc_entering;
-    s_.depth[static_cast<std::size_t>(in_subtree)] =
-        s_.depth[static_cast<std::size_t>(outside)] + 1;
-    s_.stack.clear();
-    s_.stack.push_back(in_subtree);
-    while (!s_.stack.empty()) {
-      const NodeId u = s_.stack.back();
-      s_.stack.pop_back();
-      s_.pi[static_cast<std::size_t>(u)] += delta_pi;
-      for (NodeId c = s_.child_first[static_cast<std::size_t>(u)];
-           c != kInvalidNode;
-           c = s_.child_next[static_cast<std::size_t>(c)]) {
-        s_.depth[static_cast<std::size_t>(c)] =
-            s_.depth[static_cast<std::size_t>(u)] + 1;
-        s_.stack.push_back(c);
-      }
+    for (NodeId u = v_in; u != join; u = parent_[u]) {
+      succ_num_[u] += old_succ_num;
+    }
+    for (NodeId u = v_out; u != join; u = parent_[u]) {
+      succ_num_[u] -= old_succ_num;
     }
   }
 
-  /// Lowest common ancestor of u and v in the current tree.
-  NodeId find_join(NodeId u, NodeId v) const {
-    while (u != v) {
-      if (s_.depth[static_cast<std::size_t>(u)] >=
-          s_.depth[static_cast<std::size_t>(v)]) {
-        u = s_.parent[static_cast<std::size_t>(u)];
-      } else {
-        v = s_.parent[static_cast<std::size_t>(v)];
+  /// The first broken tree invariant, or "": thread is a preorder of
+  /// the parent tree, succ_num and last_succ agree with it, pred and
+  /// pred_dir name the tree arc to the parent, every tree arc is tight,
+  /// every non-tree arc sits at the bound its state names, and the tree
+  /// is strongly feasible (every node can send flow up to the root).
+  std::string check_tree() const {
+    const NodeId nodes = root_ + 1;
+    const auto un = static_cast<std::size_t>(nodes);
+    std::vector<NodeId> pos(un, kInvalidNode);
+    std::vector<NodeId> order;
+    NodeId u = root_;
+    do {
+      if (u < 0 || u >= nodes || pos[static_cast<std::size_t>(u)] >= 0) {
+        return "thread is not one cycle through every node";
+      }
+      if (rev_thread_[thread_[u]] != u) {
+        return "rev_thread is not the inverse of thread";
+      }
+      pos[static_cast<std::size_t>(u)] = static_cast<NodeId>(order.size());
+      order.push_back(u);
+      u = thread_[u];
+    } while (u != root_);
+    if (order.size() != un) return "thread misses a node";
+
+    // Subtree sizes summed children first, which is valid once every
+    // parent precedes its children.
+    std::vector<NodeId> size(un, 1);
+    for (std::size_t i = un; i-- > 1;) {
+      const NodeId v = order[i];
+      const NodeId p = parent_[v];
+      if (p < 0 || p >= nodes || pos[static_cast<std::size_t>(p)] >=
+                                     pos[static_cast<std::size_t>(v)]) {
+        return "node " + std::to_string(v) + " precedes its parent";
+      }
+      size[static_cast<std::size_t>(p)] += size[static_cast<std::size_t>(v)];
+    }
+    // With every subtree inside its parent's thread range, each one is
+    // contiguous and the thread is a preorder.
+    for (NodeId v = 0; v < nodes; ++v) {
+      const auto iv = static_cast<std::size_t>(v);
+      const NodeId end = pos[iv] + size[iv];
+      if (v != root_) {
+        const auto ip = static_cast<std::size_t>(parent_[v]);
+        if (end > pos[ip] + size[ip] || end > nodes) {
+          return "subtree of node " + std::to_string(v) +
+                 " is not contiguous";
+        }
+      }
+      if (succ_num_[v] != size[iv]) {
+        return "succ_num is wrong at node " + std::to_string(v);
+      }
+      if (order[static_cast<std::size_t>(end - 1)] != last_succ_[v]) {
+        return "last_succ is wrong at node " + std::to_string(v);
       }
     }
-    return u;
-  }
-
-  /// True if \p v lies in the subtree rooted at \p subtree_root (walk up;
-  /// note depths are still those from before the tree update).
-  bool in_detached_subtree(NodeId v, NodeId subtree_root) const {
-    while (v != kInvalidNode &&
-           s_.depth[static_cast<std::size_t>(v)] >=
-               s_.depth[static_cast<std::size_t>(subtree_root)]) {
-      if (v == subtree_root) return true;
-      v = s_.parent[static_cast<std::size_t>(v)];
+    for (NodeId v = 0; v < root_; ++v) {
+      const NodeId p = parent_[v];
+      const ArcId t = pred_[v];
+      const bool up = pred_dir_[v] == kUp;
+      if (t < 0 || t >= real_arcs_ + root_ || state_[t] != kTree ||
+          tail_[t] != (up ? v : p) || head_[t] != (up ? p : v)) {
+        return "pred of node " + std::to_string(v) + " is not its tree arc";
+      }
+      if (reduced_cost(t) != 0) {
+        return "tree arc " + std::to_string(t) + " is not tight";
+      }
+      if (flow_[t] < 0 || flow_[t] > cap_[t]) {
+        return "tree arc " + std::to_string(t) + " leaves its bounds";
+      }
+      if (up ? flow_[t] == cap_[t] : flow_[t] == 0) {
+        return "node " + std::to_string(v) + " cannot send flow to the root";
+      }
     }
-    return false;
+    NodeId tree_arcs = 0;
+    for (ArcId a = 0; a < real_arcs_ + root_; ++a) {
+      if (state_[a] == kTree) {
+        ++tree_arcs;
+      } else if (flow_[a] != (state_[a] == kLower ? 0 : cap_[a])) {
+        return "non-tree arc " + std::to_string(a) + " is off its bound";
+      }
+    }
+    if (tree_arcs != root_) return "the tree does not have one arc per node";
+    return {};
   }
 
   SimplexScratch& s_;
-  ArcId orig_arcs_;
-  NodeId root_ = kInvalidNode;
-  NodeId num_nodes_ = 0;
-  std::size_t block_size_ = 0;
+  ArcId real_arcs_;
+  NodeId root_;
   std::size_t list_size_ = 0;
   std::size_t minor_limit_ = 0;
   std::size_t minor_left_ = 0;
   std::size_t scan_start_ = 0;
+  NodeId* tail_ = nullptr;
+  NodeId* head_ = nullptr;
+  Flow* cap_ = nullptr;
+  Cost* cost_ = nullptr;
+  Flow* flow_ = nullptr;
+  signed char* state_ = nullptr;
+  NodeId* parent_ = nullptr;
+  ArcId* pred_ = nullptr;
+  signed char* pred_dir_ = nullptr;
+  NodeId* thread_ = nullptr;
+  NodeId* rev_thread_ = nullptr;
+  NodeId* succ_num_ = nullptr;
+  NodeId* last_succ_ = nullptr;
+  Cost* pi_ = nullptr;
 };
+
+FlowSolution run(const Graph& g, SolveGuard* guard, SolverWorkspace& w,
+                 std::string* tree_violation) {
+  if (g.total_supply() != 0) return {};
+  ++w.counters.solves;
+  Cost big_m = 0;
+  if (!artificial_cost(g, big_m)) {
+    FlowSolution refused;
+    refused.status = SolveStatus::kBadInstance;
+    refused.message =
+        "network-simplex: the artificial arc cost, max |cost| * (nodes + "
+        "2) + 1, exceeds the overflow-safe magnitude kInfCost";
+    return refused;
+  }
+  NetworkSimplex simplex(g, big_m, w.simplex);
+  return simplex.run(g, guard, w.counters, tree_violation);
+}
 
 }  // namespace
 
+bool simplex_saturated_start(const Graph& g, std::vector<Flow>& balance) {
+  const NodeId n = g.num_nodes();
+  balance.resize(static_cast<std::size_t>(n));
+  Flow before = 0;
+  bool fits = true;
+  for (NodeId v = 0; v < n; ++v) {
+    const Flow b = g.supply(v);
+    balance[static_cast<std::size_t>(v)] = b;
+    fits = fits && b >= -kInfFlow && b <= kInfFlow &&
+           checked_add(before, b < 0 ? -b : b, before);
+  }
+  Flow saturated = 0;
+  for (ArcId a = 0; a < g.num_arcs() && fits; ++a) {
+    const Arc& arc = g.arc(a);
+    if (!saturable(arc)) continue;
+    Flow& out = balance[static_cast<std::size_t>(arc.tail)];
+    Flow& in = balance[static_cast<std::size_t>(arc.head)];
+    fits = checked_add(saturated, arc.upper, saturated) &&
+           checked_add(out, -arc.upper, out) &&
+           checked_add(in, arc.upper, in);
+  }
+  Flow after = 0;
+  for (NodeId v = 0; v < n && fits; ++v) {
+    const Flow b = balance[static_cast<std::size_t>(v)];
+    fits = b >= -kInfFlow && b <= kInfFlow &&
+           checked_add(after, b < 0 ? -b : b, after);
+  }
+  if (fits && saturated > 0 && after - before <= saturated) return true;
+  for (NodeId v = 0; v < n; ++v) {
+    balance[static_cast<std::size_t>(v)] = g.supply(v);
+  }
+  return false;
+}
+
 FlowSolution run_network_simplex(const Graph& g, SolveGuard* guard,
                                  SolverWorkspace& w) {
-  if (g.total_supply() != 0) return {};
-  ++w.counters.solves;
-  NetworkSimplex simplex(g, w.simplex);
-  return simplex.run(g, guard, w.counters);
+  return run(g, guard, w, nullptr);
+}
+
+std::string check_simplex_tree(const Graph& g, SolverWorkspace& w,
+                               FlowSolution& sol) {
+  std::string violation;
+  sol = run(g, nullptr, w, &violation);
+  return violation;
 }
 
 }  // namespace lera::netflow::internal

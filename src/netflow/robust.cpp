@@ -399,6 +399,7 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
   FlowSolution uncertified;
   bool have_uncertified = false;
   bool budget_hit = false;
+  FlowSolution refusal;  // The first backend refusal, if any.
 
   // One attempt per backend (effective_chain drops duplicates): an
   // answer that flunks certification falls through to the next backend.
@@ -486,8 +487,17 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
         diag.attempts.push_back(attempt);
         break;
       case SolveStatus::kBadInstance:
+        // A backend's own precondition (the simplex's big-M must fit in
+        // Cost) is not the instance's fault: the next backend may take
+        // it.
+        attempt.note = sol.message;
+        diag.attempts.push_back(attempt);
+        if (refusal.status != SolveStatus::kBadInstance) {
+          refusal = std::move(sol);
+        }
+        break;
       case SolveStatus::kUncertified:
-        // Unreachable after validate_instance, but fail loud, not wrong.
+        // Unreachable: backends never claim it. Fail loud, not wrong.
         attempt.note = sol.message;
         diag.attempts.push_back(attempt);
         diag.message = "rejected by " + to_string(kind) + ": " + sol.message;
@@ -524,6 +534,8 @@ FlowSolution solve_robust(const Graph& g, const SolveOptions& options,
     out.status = SolveStatus::kBudgetExceeded;
     out.message = "iteration/time budget exhausted across " +
                   std::to_string(diag.attempts.size()) + " attempt(s)";
+  } else if (refusal.status == SolveStatus::kBadInstance) {
+    out = std::move(refusal);
   } else {
     // The chain is never empty, so every attempt ended in a budget
     // denial or a real allocation failure: the typed memory verdict,

@@ -179,7 +179,10 @@ struct SolveDiagnostics {
 /// and never trips solver-internal asserts on malformed instances:
 /// those come back as kBadInstance, budget exhaustion as
 /// kBudgetExceeded, and a chain whose every answer flunks certification
-/// as kUncertified. \p diagnostics (optional) receives the full story.
+/// as kUncertified. A backend that refuses a valid instance (the
+/// simplex when its big-M would overflow) is a failed attempt, and the
+/// next backend takes over; kBadInstance comes back only when no backend
+/// answered. \p diagnostics (optional) receives the full story.
 FlowSolution solve_robust(const Graph& g, const SolveOptions& options = {},
                           SolveDiagnostics* diagnostics = nullptr);
 

@@ -203,12 +203,14 @@ struct SspScratch {
   }
 };
 
-/// Network-simplex scratch: SoA arc arrays, spanning-tree arrays, and
-/// the pivot-cycle / child-list buffers that used to be allocated per
-/// pivot. The child lists are doubly linked (child_prev enables O(1)
-/// unlink) because they are maintained incrementally across pivots: a
-/// basis exchange re-parents only the nodes on the reversed path, and
-/// the potential update then walks just the re-hung subtree.
+/// Network-simplex scratch: SoA arc arrays (real arcs, then one
+/// artificial arc per node) and the spanning-tree arrays of Király &
+/// Kovács' study, one entry per node with the artificial root last.
+/// thread is a preorder of the tree and rev_thread its inverse;
+/// succ_num is a node's subtree size and last_succ the subtree's last
+/// node in that preorder; pred_dir says whether pred's tail is the node
+/// (up) or its parent (down). A pivot rewrites these only inside the
+/// moved subtree and on the paths up from the entering and leaving arcs.
 struct SimplexScratch {
   std::vector<NodeId> tail;
   std::vector<NodeId> head;
@@ -217,33 +219,45 @@ struct SimplexScratch {
   std::vector<Flow> flow;
   std::vector<signed char> state;
   std::vector<NodeId> parent;
-  std::vector<ArcId> pred_arc;
-  std::vector<NodeId> depth;
+  std::vector<ArcId> pred;
+  std::vector<signed char> pred_dir;
+  std::vector<NodeId> thread;
+  std::vector<NodeId> rev_thread;
+  std::vector<NodeId> succ_num;
+  std::vector<NodeId> last_succ;
   std::vector<Cost> pi;
-  // Incrementally maintained intrusive child lists + DFS stack.
-  std::vector<NodeId> child_first;
-  std::vector<NodeId> child_next;
-  std::vector<NodeId> child_prev;
-  std::vector<NodeId> stack;
-  // pivot(): cycle steps (arc id, direction flag, subtree-side node).
-  std::vector<ArcId> cycle_arc;
-  std::vector<signed char> cycle_dir;
-  std::vector<NodeId> cycle_below;
+  /// Start balances: the supplies, less what the saturated start already
+  /// routes through real arcs.
+  std::vector<Flow> balance;
+  /// Nodes whose thread successor a pivot rewired; their successors'
+  /// rev_thread entries are fixed once the splice is done.
+  std::vector<NodeId> dirty;
   // Candidate-list pivot rule: violating arcs collected by the major
   // block scan, consumed by minor iterations.
   std::vector<ArcId> candidates;
+
+  /// Bytes per arc, artificial arcs included, and per node, the root
+  /// included, of the arrays above. The solver announces these to
+  /// alloc_tick; the footprint estimator (membudget.cpp) counts with
+  /// them. The candidate list holds max(16, sqrt(m + n) / 4) arc ids.
+  static constexpr std::int64_t kArcBytes =
+      2 * sizeof(NodeId) + 2 * sizeof(Flow) + sizeof(Cost) +
+      sizeof(signed char);
+  static constexpr std::int64_t kNodeBytes =
+      6 * sizeof(NodeId) + sizeof(ArcId) + sizeof(signed char) +
+      sizeof(Cost) + sizeof(Flow);
 
   /// Bytes this scratch currently retains.
   std::int64_t footprint_bytes() const {
     return detail::vec_bytes(tail) + detail::vec_bytes(head) +
            detail::vec_bytes(cap) + detail::vec_bytes(cost) +
            detail::vec_bytes(flow) + detail::vec_bytes(state) +
-           detail::vec_bytes(parent) + detail::vec_bytes(pred_arc) +
-           detail::vec_bytes(depth) + detail::vec_bytes(pi) +
-           detail::vec_bytes(child_first) + detail::vec_bytes(child_next) +
-           detail::vec_bytes(child_prev) + detail::vec_bytes(stack) +
-           detail::vec_bytes(cycle_arc) + detail::vec_bytes(cycle_dir) +
-           detail::vec_bytes(cycle_below) + detail::vec_bytes(candidates);
+           detail::vec_bytes(parent) + detail::vec_bytes(pred) +
+           detail::vec_bytes(pred_dir) + detail::vec_bytes(thread) +
+           detail::vec_bytes(rev_thread) + detail::vec_bytes(succ_num) +
+           detail::vec_bytes(last_succ) + detail::vec_bytes(pi) +
+           detail::vec_bytes(balance) + detail::vec_bytes(dirty) +
+           detail::vec_bytes(candidates);
   }
 };
 

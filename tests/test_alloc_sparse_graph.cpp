@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "alloc/allocator.hpp"
+#include "netflow/internal_solvers.hpp"
 #include "netflow/netflow.hpp"
 #include "sched/schedule.hpp"
 #include "workloads/kernels.hpp"
@@ -195,6 +196,97 @@ TEST(SparseGraph, CompileLargeBlocksMatchTheDenseOptimumUnderEveryBackend) {
       EXPECT_EQ(r.flow_cost, b.dense_cost)
           << b.vars << "/" << b.index << " " << netflow::to_string(kind);
       EXPECT_TRUE(validate_assignment(p, r.assignment).empty());
+      if (b.vars == 1024 && b.index == 3 &&
+          kind == netflow::SolverKind::kNetworkSimplex) {
+        // Pivot counts are exact: 13,383 from an all-big-M start with
+        // every arc at zero, 9,516 from the saturated start.
+        EXPECT_LE(r.solve_diagnostics.perf.simplex_pivots, 11000);
+      }
+    }
+  }
+}
+
+/// \p p's allocation graph with the flow value R at s and t.
+netflow::Graph st_graph(const AllocationProblem& p, const FlowGraphSpec& spec) {
+  netflow::Graph g = spec.graph;
+  g.add_supply(spec.s, p.num_registers);
+  g.add_supply(spec.t, -p.num_registers);
+  return g;
+}
+
+/// sum |b| over \p g's supplies, sum |b'| once every finite-capacity
+/// negative-cost arc is saturated, and U, those arcs' total capacity.
+struct StartImbalance {
+  netflow::Flow before = 0;
+  netflow::Flow after = 0;
+  netflow::Flow saturated = 0;
+};
+
+StartImbalance start_imbalance(const netflow::Graph& g) {
+  StartImbalance out;
+  std::vector<netflow::Flow> b(static_cast<std::size_t>(g.num_nodes()));
+  for (netflow::NodeId v = 0; v < g.num_nodes(); ++v) {
+    b[static_cast<std::size_t>(v)] = g.supply(v);
+    out.before += std::abs(g.supply(v));
+  }
+  for (netflow::ArcId a = 0; a < g.num_arcs(); ++a) {
+    const netflow::Arc& arc = g.arc(a);
+    if (arc.cost >= 0 || arc.upper >= netflow::kInfFlow) continue;
+    b[static_cast<std::size_t>(arc.tail)] -= arc.upper;
+    b[static_cast<std::size_t>(arc.head)] += arc.upper;
+    out.saturated += arc.upper;
+  }
+  for (const netflow::Flow x : b) out.after += std::abs(x);
+  return out;
+}
+
+// The simplex's start test keeps the saturated start where the negative
+// segment arcs chain through cut nodes (every compile-large block) and
+// drops it where the dense graph's negative transitions do not (dense
+// activity blocks of 64-512 variables at R = 1, peak/2 and peak).
+TEST(SparseGraph, SimplexStartTestKeepsSaturationOnSparseBlocksOnly) {
+  std::vector<netflow::Flow> balance;
+  for (const CompileBlock& b : kCompileBlocks) {
+    const AllocationProblem p = compile_block(b);
+    const netflow::Graph g =
+        st_graph(p, build_flow_graph(p, GraphStyle::kDensityRegions));
+    ASSERT_FALSE(g.has_lower_bounds());
+    EXPECT_TRUE(netflow::internal::simplex_saturated_start(g, balance))
+        << b.vars << "/" << b.index;
+    const StartImbalance imbalance = start_imbalance(g);
+    EXPECT_LE(imbalance.after - imbalance.before, imbalance.saturated);
+    if (b.vars == 1024 && b.index == 3) {
+      EXPECT_EQ(imbalance.before, 256);
+      EXPECT_EQ(imbalance.after, 1362);
+      EXPECT_EQ(imbalance.saturated, 1989);
+    }
+  }
+  energy::EnergyParams activity;
+  activity.register_model = energy::RegisterModel::kActivity;
+  for (const int vars : {64, 128, 256, 512}) {
+    workloads::RandomLifetimeOptions lopts;
+    lopts.num_vars = vars;
+    lopts.num_steps = vars / 2;
+    AllocationProblem p = make_problem(
+        workloads::random_lifetimes(11, lopts), lopts.num_steps, 1, activity,
+        workloads::random_activity(12, static_cast<std::size_t>(vars)));
+    ASSERT_FALSE(uses_sparse_encoding(p));
+    const FlowGraphSpec spec = build_flow_graph(p, GraphStyle::kDensityRegions);
+    const int peak = p.max_density();
+    for (const int r : {1, std::max(1, peak / 2), peak}) {
+      p.num_registers = r;
+      const netflow::Graph g = st_graph(p, spec);
+      ASSERT_FALSE(g.has_lower_bounds());
+      EXPECT_FALSE(netflow::internal::simplex_saturated_start(g, balance))
+          << vars << " R=" << r;
+      const StartImbalance imbalance = start_imbalance(g);
+      EXPECT_GT(imbalance.after - imbalance.before, imbalance.saturated);
+      if (vars == 512 && r == peak) {
+        // bench_solvers' alloc_dense_peak.
+        EXPECT_EQ(imbalance.before, 452);
+        EXPECT_EQ(imbalance.after, 264980);
+        EXPECT_EQ(imbalance.saturated, 132716);
+      }
     }
   }
 }
@@ -252,11 +344,8 @@ TEST(SparseGraph, NoOptimumSpillsAndReloadsAtOneCut) {
 /// The backend kAuto picks for \p p's allocation graph, from the shape
 /// solve_st_flow_robust measures (flow value R at s and t).
 netflow::SolverKind auto_choice(const AllocationProblem& p) {
-  const FlowGraphSpec spec = build_flow_graph(p, GraphStyle::kDensityRegions);
-  netflow::Graph g = spec.graph;
-  g.add_supply(spec.s, p.num_registers);
-  g.add_supply(spec.t, -p.num_registers);
-  return netflow::select_solver(netflow::measure_shape(g));
+  return netflow::select_solver(netflow::measure_shape(
+      st_graph(p, build_flow_graph(p, GraphStyle::kDensityRegions))));
 }
 
 TEST(AutoSelection, PicksByRegisterCountOnAllocationGraphs) {

@@ -1,17 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
+#include "netflow/internal_solvers.hpp"
 #include "netflow/netflow.hpp"
 #include "workloads/random_gen.hpp"
 
-// Backend suite: network simplex (candidate-list pivoting + incremental
-// tree maintenance) is differential-tested against SSP over 200 random
-// seeds, every backend is checked for cold-vs-shared-workspace
-// bit-identity, and the SolverKind::kAuto selection policy is pinned on
-// canonical shapes and exercised end-to-end through solve() and
-// solve_robust().
+// Backend suite: network simplex (candidate-list pivoting on a
+// thread-indexed spanning tree) is differential-tested against SSP over
+// 200 random seeds and over 1500 instances that cover both of its starts
+// and infeasibility, its tree is checked after every pivot, every
+// backend is checked for cold-vs-shared-workspace bit-identity, and the
+// SolverKind::kAuto selection policy is pinned on canonical shapes and
+// exercised end-to-end through solve() and solve_robust().
 
 namespace lera::netflow {
 namespace {
@@ -66,6 +70,120 @@ TEST(BackendDifferential, TwoHundredSeedsMatchSspObjective) {
   // The mix is built to be mostly feasible; an all-infeasible run would
   // mean the sweep tested nothing.
   EXPECT_GT(optimal, 150);
+}
+
+/// A random balanced instance: 4-23 nodes, 1-6 arcs per node with
+/// costs in [-20, 40] and capacities in [1, 8], a fifth of them with a
+/// lower bound, and 1-3 supply/demand pairs. Two seeds in three add a
+/// ring of wide non-negative arcs through every node, which makes most
+/// of them feasible; without it most are infeasible. Sparse draws leave
+/// the saturated arcs' imbalance uncancelled and dense ones cancel it, so
+/// the simplex's start test goes both ways.
+Graph random_instance(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  const auto n = static_cast<NodeId>(draw(4, 23));
+  Graph g(n);
+  if (seed % 3 != 0) {
+    for (NodeId v = 0; v < n; ++v) g.add_arc(v, (v + 1) % n, 40, draw(0, 40));
+  }
+  const std::int64_t arcs = n * draw(1, 6);
+  for (std::int64_t a = 0; a < arcs; ++a) {
+    const auto tail = static_cast<NodeId>(draw(0, n - 1));
+    const auto head = static_cast<NodeId>(draw(0, n - 1));
+    if (tail == head) continue;
+    const Flow upper = draw(1, 8);
+    const Flow lower = draw(0, 4) == 0 ? draw(0, upper) : 0;
+    g.add_arc(tail, head, upper, draw(-20, 40), lower);
+  }
+  for (std::int64_t k = draw(1, 3); k > 0; --k) {
+    const Flow units = draw(1, 6);
+    g.add_supply(static_cast<NodeId>(draw(0, n - 1)), units);
+    g.add_supply(static_cast<NodeId>(draw(0, n - 1)), -units);
+  }
+  return g;
+}
+
+/// The instance the simplex itself runs on: solve() removes lower
+/// bounds first.
+Graph without_lower_bounds(const Graph& g) {
+  return g.has_lower_bounds() ? remove_lower_bounds(g).reduced : g;
+}
+
+// The simplex against SSP on instances of three kinds: those whose
+// saturated start the start test keeps, those where it drops it, and
+// infeasible ones, where flow left on an artificial arc must read as
+// kInfeasible. Lower bounds ride along. Statuses must agree, and every
+// optimum must match SSP's objective and be certified.
+TEST(BackendDifferential, SimplexMatchesSspUnderBothStartsAndOnInfeasible) {
+  SolverWorkspace shared;
+  int kept = 0;
+  int dropped = 0;
+  int infeasible = 0;
+  int with_lower_bounds = 0;
+  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+    const Graph g = random_instance(seed);
+    bool negative_arcs = false;
+    for (ArcId a = 0; a < g.num_arcs(); ++a) {
+      negative_arcs = negative_arcs || g.arc(a).cost < 0;
+    }
+    std::vector<Flow> balance;
+    const bool saturated =
+        internal::simplex_saturated_start(without_lower_bounds(g), balance);
+    const FlowSolution ssp =
+        solve(g, SolverKind::kSuccessiveShortestPaths, nullptr, &shared);
+    const FlowSolution simplex =
+        solve(g, SolverKind::kNetworkSimplex, nullptr, &shared);
+    ASSERT_EQ(simplex.status, ssp.status) << "seed " << seed;
+    if (!ssp.optimal()) {
+      ASSERT_EQ(ssp.status, SolveStatus::kInfeasible) << "seed " << seed;
+      ++infeasible;
+      continue;
+    }
+    if (negative_arcs) ++(saturated ? kept : dropped);
+    if (g.has_lower_bounds()) ++with_lower_bounds;
+    EXPECT_EQ(simplex.cost, ssp.cost) << "seed " << seed;
+    ASSERT_TRUE(check_feasible(g, simplex.arc_flow).ok) << "seed " << seed;
+    ASSERT_TRUE(certify_optimal(g, simplex.arc_flow)) << "seed " << seed;
+    Cost recomputed = 0;
+    ASSERT_TRUE(checked_flow_cost(g, simplex.arc_flow, recomputed));
+    EXPECT_EQ(recomputed, simplex.cost) << "seed " << seed;
+  }
+  EXPECT_GT(kept, 300);
+  EXPECT_GT(dropped, 300);
+  EXPECT_GT(infeasible, 300);
+  EXPECT_GT(with_lower_bounds, 300);
+}
+
+// The spanning tree after every pivot, on small instances of both
+// families: thread a preorder of the parent tree, succ_num and last_succ
+// in agreement with it, pred naming the tree arc, every tree arc tight,
+// every non-tree arc at its bound, and the tree strongly feasible. The
+// checked run must also answer exactly as the production one.
+TEST(NetworkSimplexTree, InvariantsHoldAfterEveryPivot) {
+  SolverWorkspace checked_ws;
+  SolverWorkspace plain_ws;
+  std::int64_t pivots = 0;
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    const Graph g = without_lower_bounds(
+        seed % 2 == 0
+            ? random_instance(seed)
+            : workloads::random_flow_problem(seed, options_for(seed)));
+    const std::int64_t before = checked_ws.counters.simplex_pivots;
+    FlowSolution checked;
+    const std::string violation =
+        internal::check_simplex_tree(g, checked_ws, checked);
+    ASSERT_EQ(violation, "") << "seed " << seed;
+    pivots += checked_ws.counters.simplex_pivots - before;
+    const FlowSolution plain =
+        solve(g, SolverKind::kNetworkSimplex, nullptr, &plain_ws);
+    ASSERT_EQ(checked.status, plain.status) << "seed " << seed;
+    EXPECT_EQ(checked.cost, plain.cost) << "seed " << seed;
+    EXPECT_EQ(checked.arc_flow, plain.arc_flow) << "seed " << seed;
+  }
+  EXPECT_GT(pivots, 10000);
 }
 
 // Every backend is a deterministic scratch-arena algorithm: a cold solve

@@ -117,6 +117,72 @@ TEST(SolveRobust, InfeasibleCrossCheckedByASecondSolver) {
   EXPECT_GE(diag.attempts.size(), 2u);  // Verdict confirmed, not trusted.
 }
 
+// A valid instance whose costs leave the simplex no big-M within
+// kInfCost: a 12-node path with one arc at 10^18 and the rest at 1, and a
+// direct arc at 50, each of capacity 1, carrying 2 units. The simplex
+// must refuse it with a typed verdict instead of overflowing its
+// artificial cost, and the chain must hand it to SSP, whose optimum
+// routes one unit each way: 10^18 + 10 + 50.
+TEST(SolveRobust, SimplexRefusesAnOverflowingBigMAndTheChainFallsBack) {
+  constexpr Cost kHuge = 1'000'000'000'000'000'000;
+  Graph g(12);
+  for (NodeId v = 0; v + 1 < 12; ++v) {
+    g.add_arc(v, v + 1, 1, v == 5 ? kHuge : 1);
+  }
+  g.add_arc(0, 11, 1, 50);
+  g.set_supply(0, 2);
+  g.set_supply(11, -2);
+  const InstanceReport report = validate_instance(g);
+  EXPECT_TRUE(report.errors.empty());
+  EXPECT_TRUE(report.warnings.empty());
+
+  const FlowSolution simplex = solve(g, SolverKind::kNetworkSimplex);
+  EXPECT_EQ(simplex.status, SolveStatus::kBadInstance);
+  EXPECT_NE(simplex.message.find("network-simplex"), std::string::npos);
+  const FlowSolution ssp = solve(g, SolverKind::kSuccessiveShortestPaths);
+  ASSERT_TRUE(ssp.optimal());
+  EXPECT_EQ(ssp.cost, kHuge + 60);
+
+  SolveOptions options;
+  options.chain = {SolverKind::kNetworkSimplex,
+                   SolverKind::kSuccessiveShortestPaths};
+  SolveDiagnostics diag;
+  const FlowSolution sol = solve_robust(g, options, &diag);
+  ASSERT_TRUE(sol.optimal()) << diag.summary();
+  EXPECT_EQ(sol.cost, kHuge + 60);
+  EXPECT_EQ(diag.solver_used, SolverKind::kSuccessiveShortestPaths);
+  ASSERT_EQ(diag.attempts.size(), 2u);
+  EXPECT_EQ(diag.attempts[0].status, SolveStatus::kBadInstance);
+  EXPECT_EQ(diag.attempts[0].note, simplex.message);
+  EXPECT_EQ(diag.certification, CertificationVerdict::kPassed);
+
+  // With no backend left to take it, the refusal is the verdict.
+  options.chain = {SolverKind::kNetworkSimplex};
+  const FlowSolution alone = solve_robust(g, options, &diag);
+  EXPECT_EQ(alone.status, SolveStatus::kBadInstance);
+  EXPECT_EQ(alone.message, simplex.message);
+  EXPECT_EQ(diag.attempts.size(), 1u);
+}
+
+// A negative cycle of kInfFlow arcs: its pivot's only blocking arc is
+// the entering arc at its full kInfFlow capacity, which the simplex
+// pushes as SSP does (once a debug-build assert). Both reach the same
+// certified optimum.
+TEST(SolveRobust, SimplexSaturatesANegativeCycleOfInfFlowArcsLikeSsp) {
+  Graph g(3);
+  g.add_arc(0, 1, kInfFlow, -1);
+  g.add_arc(1, 2, kInfFlow, -1);
+  g.add_arc(2, 0, kInfFlow, -1);
+  ASSERT_TRUE(validate_instance(g).ok());
+  const FlowSolution simplex = solve(g, SolverKind::kNetworkSimplex);
+  const FlowSolution ssp = solve(g, SolverKind::kSuccessiveShortestPaths);
+  ASSERT_TRUE(simplex.optimal());
+  ASSERT_TRUE(ssp.optimal());
+  EXPECT_EQ(simplex.cost, -3 * kInfFlow);
+  EXPECT_EQ(simplex.cost, ssp.cost);
+  EXPECT_TRUE(certify_optimal(g, simplex.arc_flow));
+}
+
 TEST(SolveRobust, IterationBudgetSurfacesAsBudgetExceeded) {
   SolveOptions options;
   options.chain = {SolverKind::kSuccessiveShortestPaths};
