@@ -502,10 +502,10 @@ int main(int argc, char** argv) {
     std::cout << "LERA_CACHE miss\n";
     const bool reusable = r.feasible && !r.degraded && !r.timed_out;
     if (reusable) {
-      const std::int64_t hits_before = engine.stats().cache_hits;
+      const std::int64_t hits_before = engine.stats().cache.hits;
       const alloc::AllocationResult again =
           engine.allocate_batch({p}).front();
-      const bool hit = engine.stats().cache_hits > hits_before;
+      const bool hit = engine.stats().cache.hits > hits_before;
       bool identical = again.assignment.size() == r.assignment.size();
       for (std::size_t s = 0; identical && s < r.assignment.size(); ++s) {
         identical = again.assignment.in_register(s) ==

@@ -345,7 +345,8 @@ int run(int argc, char** argv) {
   server.begin_drain();  // Unblocks drain_monitor on listener failure.
   for (std::thread& t : connections) t.join();
   drain_monitor.join();
-  std::cerr << "lera_server drained: " << server.metrics_json() << "\n";
+  std::cerr << "lera_server drained\n";
+  server.emit_metric_lines(std::cerr);
   return 0;
 }
 

@@ -11,7 +11,7 @@
 
 #include <iostream>
 
-#include "pipeline/pipeline.hpp"
+#include "engine/engine.hpp"
 #include "report/table.hpp"
 #include "workloads/kernels.hpp"
 
@@ -26,17 +26,17 @@ int main() {
       app.add_task("mix_butterfly", workloads::make_fft_butterfly(), {eq});
   app.add_task("detect_rsp", workloads::make_rsp(4), {mix});
 
-  pipeline::PipelineOptions opts;
+  engine::EngineOptions opts;
   opts.resources = {2, 1};
   opts.num_registers = 6;
   opts.params.register_model = energy::RegisterModel::kActivity;
 
-  const pipeline::PipelineReport report = pipeline::run_pipeline(app, opts);
+  const engine::PipelineReport report = engine::Engine(opts).run(app);
 
   report::Table table({"task", "steps", "peak density", "mem/reg accesses",
                        "mem locs", "addr switching (opt/naive)",
                        "E static", "E activity"});
-  for (const pipeline::TaskReport& tr : report.tasks) {
+  for (const engine::TaskReport& tr : report.tasks) {
     if (!tr.result.feasible) {
       table.add_row({tr.name, "-", "-", "infeasible: " + tr.result.message});
       continue;

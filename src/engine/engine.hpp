@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -32,8 +31,8 @@
 /// sequential code path: work item i always lands in result slot i, and
 /// every aggregation runs sequentially in a fixed order.
 ///
-/// Construct an Engine once from EngineOptions (the unified option core
-/// that PipelineOptions / ExploreOptions used to copy-paste), then:
+/// Construct an Engine once from EngineOptions (the one option core
+/// every entry point reads), then:
 ///
 ///   engine::Engine eng(opts);
 ///   engine::PipelineReport rep = eng.run(task_graph);
@@ -41,15 +40,15 @@
 ///   auto results = eng.allocate_batch(problems);
 ///   engine::Session s = eng.open_session();   // incremental batching
 ///
-/// The legacy free functions pipeline::run_pipeline and
-/// pipeline::explore_schedules are thin wrappers over this API.
+/// Every entry point solves through one private Engine::solve: cache
+/// lookup (allocate_batch and Session only), deadline, cancel token and
+/// per-solve memory budget, a leased workspace, the allocator, then
+/// stats, audit and cache insert.
 
 namespace lera::engine {
 
-/// Unified option core. Absorbs the fields that were duplicated across
-/// pipeline::PipelineOptions, pipeline::ExploreOptions and the bench
-/// mains: the solve core (num_registers / params / split / alloc) is
-/// specified once, here, and every Engine entry point reads it.
+/// Unified option core: the solve core (num_registers / params / split /
+/// alloc) is specified once, here, and every Engine entry point reads it.
 struct EngineOptions {
   // --- Shared solve core ------------------------------------------------
   int num_registers = 4;
@@ -150,7 +149,7 @@ struct EngineOptions {
 /// "Solves" are allocator calls the engine issued: one per task in
 /// run(), one per candidate in explore(), one per problem in
 /// allocate_batch() / Session::submit. Work skipped outright (run
-/// deadline expired before start) is not a started solve.
+/// deadline expired before start) and cache hits are not started solves.
 struct EngineStats {
   std::int64_t solves_started = 0;
   std::int64_t solves_completed = 0;
@@ -175,44 +174,21 @@ struct EngineStats {
   std::int64_t memory_denials = 0;
   /// Solver-level performance counters folded over every completed
   /// solve with netflow::PerfCounters::add (augmentations, heap traffic,
-  /// workspace/warm-start hits, per-phase wall time). The cache_*
-  /// counters below are folded into perf as well.
+  /// workspace/warm-start hits, per-phase wall time). The cache counters
+  /// below are folded into perf as well.
   netflow::PerfCounters perf;
   /// Allocation-cache counters (all 0 when cache_entries is 0).
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
-  std::int64_t cache_insertions = 0;
-  std::int64_t cache_evictions = 0;
-  std::int64_t cache_audit_samples = 0;
-  std::int64_t cache_audit_evictions = 0;
-  std::int64_t cache_bytes_in_use = 0;
-  std::int64_t cache_entries = 0;
+  AllocCacheStats cache;
 };
 
 namespace detail {
-/// Counters behind EngineStats, shared (by shared_ptr) with queued
-/// Session jobs so they outlive any one handle.
-struct EngineStatsCore {
-  std::atomic<std::int64_t> started{0};
-  std::atomic<std::int64_t> completed{0};
-  std::atomic<std::int64_t> cancelled{0};
-  std::atomic<std::int64_t> timed_out{0};
-  std::atomic<std::int64_t> degraded{0};
-  std::atomic<std::int64_t> memory_exceeded{0};
-  /// Every completed solve's diagnostics folded in with
-  /// netflow::PerfCounters::add, under perf_mutex.
-  std::mutex perf_mutex;
-  netflow::PerfCounters perf;
-};
-
-/// Mutex-guarded freelist of netflow::SolverWorkspaces, shared (by
-/// shared_ptr) with queued Session jobs. Every solve leases one, so
-/// repeated solves stop paying per-solve allocation; a workspace only
-/// changes allocation behavior, never results. The pool has no thread
-/// identity to key on, so solves check a workspace out for their
-/// duration instead: at most pool-width workspaces ever exist, each used
-/// strictly sequentially — which is exactly the SolverWorkspace
-/// ownership contract.
+/// Mutex-guarded freelist of netflow::SolverWorkspaces. Every solve
+/// leases one, so repeated solves stop paying per-solve allocation; a
+/// workspace only changes allocation behavior, never results. The pool
+/// has no thread identity to key on, so solves check a workspace out for
+/// their duration instead: at most pool-width workspaces ever exist,
+/// each used strictly sequentially — which is exactly the
+/// SolverWorkspace ownership contract.
 ///
 /// Pooled (idle) workspaces retain their grown scratch arenas, so their
 /// measured footprint is charged against the engine-wide memory budget
@@ -222,13 +198,10 @@ struct EngineStatsCore {
 /// pressure the bank sheds capacity rather than busting the cap.
 class ContextBank {
  public:
-  /// Installs the engine-wide budget idle workspaces are charged
-  /// against. Call before the first release(); an inert budget tracks
-  /// nothing.
-  void set_budget(netflow::MemoryBudget budget) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    budget_ = std::move(budget);
-  }
+  /// \p budget is what idle workspaces are charged against; an inert
+  /// budget tracks nothing.
+  explicit ContextBank(netflow::MemoryBudget budget)
+      : budget_(std::move(budget)) {}
 
   std::unique_ptr<netflow::SolverWorkspace> acquire() {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -431,7 +404,7 @@ class Engine {
   /// The paper's §5 methodology over a whole task graph: schedule every
   /// task, measure activities, allocate per block, re-pack memory, and
   /// aggregate. Task solves run in parallel; the report is bit-identical
-  /// to a threads=1 run (and to the legacy pipeline::run_pipeline).
+  /// to a threads=1 run.
   PipelineReport run(const ir::TaskGraph& graph) const;
 
   /// Schedule/allocation co-exploration of one block: evaluates every
@@ -464,19 +437,32 @@ class Engine {
  private:
   friend class Session;
 
+  /// The one solve path behind every entry point: looks \p p up in the
+  /// cache (when \p use_cache), arms \p deadline, \p cancel and a
+  /// per-solve child of the memory budget on \p a, leases a workspace,
+  /// runs alloc::allocate, then books the stats, audits the result and
+  /// inserts it into the cache. A cache hit books no solve.
+  alloc::AllocationResult solve(const alloc::AllocationProblem& p,
+                                alloc::AllocatorOptions a,
+                                const netflow::Deadline& deadline,
+                                const netflow::CancelToken& cancel,
+                                bool use_cache) const;
+
   EngineOptions options_;
   netflow::CancelToken shutdown_{netflow::CancelToken::make()};
   /// Root of every per-solve budget chain; also charged for the context
-  /// bank's pooled workspaces.
+  /// bank's pooled workspaces and the cache's entries.
   netflow::MemoryBudget memory_budget_;
-  /// Shared with queued Session jobs so it outlives any one handle.
-  std::shared_ptr<detail::EngineStatsCore> stats_core_;
-  /// Workspace freelist; shared with queued Session jobs like the stats
-  /// core.
-  std::shared_ptr<detail::ContextBank> bank_;
-  /// Non-null when cache_entries > 0; shared with queued Session jobs.
-  /// Entry bytes are charged against a child of memory_budget_.
-  std::shared_ptr<AllocCache> cache_;
+  /// The solve counters and perf totals (stats() fills in the memory
+  /// and cache fields), guarded by stats_mutex_.
+  mutable std::mutex stats_mutex_;
+  mutable EngineStats totals_;
+  mutable detail::ContextBank bank_;
+  /// Disabled (enabled() false) when cache_entries is 0.
+  mutable AllocCache cache_;
+  /// Declared last and reset first by ~Engine: the pool only returns
+  /// once its queue is drained, so no queued Session job outlives the
+  /// members above.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -2,11 +2,6 @@
 
 namespace lera::pipeline {
 
-ExploreResult explore_schedules(const ir::BasicBlock& bb,
-                                const ExploreOptions& options) {
-  return engine::Engine(options).explore(bb);
-}
-
 RegisterFileSizing size_register_file(const alloc::AllocationProblem& base,
                                       double tolerance) {
   RegisterFileSizing out;

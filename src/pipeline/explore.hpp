@@ -1,37 +1,13 @@
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "pipeline/pipeline.hpp"
+#include "alloc/allocator.hpp"
 
 /// \file explore.hpp
-/// Schedule/allocation co-exploration. The methodology (§5) schedules
-/// first and allocates second, but the schedule decides the lifetime
-/// density the allocator must cover — so the natural design loop tries
-/// several schedules and keeps the one whose *allocation* is cheapest.
-/// Candidates: resource-constrained list schedules over a small
-/// resource sweep plus force-directed schedules at increasing latency
-/// slack.
-///
-/// Like pipeline.hpp, this is now a compatibility layer over
-/// engine/engine.hpp: explore_schedules is a deprecated-but-working
-/// wrapper around engine::Engine::explore, which evaluates the
-/// candidates in parallel with identical results.
+/// Register-file sizing: the design-space question next to schedule
+/// exploration (engine::Engine::explore), answered from the energy/R
+/// curve of one block's optimal allocations.
 
 namespace lera::pipeline {
-
-using ScheduleCandidate = engine::ScheduleCandidate;
-using ExploreResult = engine::ExploreResult;
-
-/// Deprecated alias of engine::EngineOptions; the exploration knobs
-/// (deadline, resource_options, slack_options) live there now with
-/// unchanged names and defaults.
-using ExploreOptions = engine::EngineOptions;
-
-/// Deprecated: equivalent to engine::Engine(options).explore(bb).
-ExploreResult explore_schedules(const ir::BasicBlock& bb,
-                                const ExploreOptions& options = {});
 
 struct RegisterFileSizing {
   int registers = 0;      ///< Chosen register-file size.

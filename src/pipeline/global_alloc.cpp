@@ -17,7 +17,7 @@ struct Forward {
 }  // namespace
 
 GlobalReport global_allocate(const ir::TaskGraph& graph,
-                             const PipelineOptions& options) {
+                             const engine::EngineOptions& options) {
   GlobalReport report;
   std::vector<lifetime::Lifetime> merged;
   std::map<std::string, Forward> live_forward;

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "pipeline/pipeline.hpp"
+#include "engine/engine.hpp"
 
 /// \file global_alloc.hpp
 /// Allocation beyond basic blocks — the future direction §7 singles out
@@ -34,6 +34,6 @@ struct GlobalReport {
 /// merged lifetimes. Cross-task switching activities default to 0.5
 /// (per-task traces cannot price pairs that never coexist in one block).
 GlobalReport global_allocate(const ir::TaskGraph& graph,
-                             const PipelineOptions& options = {});
+                             const engine::EngineOptions& options = {});
 
 }  // namespace lera::pipeline

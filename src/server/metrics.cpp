@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 namespace lera::server {
 
@@ -190,39 +189,6 @@ void ServerMetrics::emit_metric_lines(std::ostream& os) const {
        << "LERA_METRIC server_cache_hit_p99_ms "
        << s.cache_hit_latency.p99_ms << "\n";
   }
-}
-
-std::string ServerMetrics::json() const {
-  const MetricsSnapshot s = snapshot();
-  std::ostringstream os;
-  os << "{";
-  os << "\"frames_received\":" << s.frames_received
-     << ",\"solve_requests\":" << s.solve_requests
-     << ",\"served\":" << s.served << ",\"degraded\":" << s.degraded
-     << ",\"infeasible\":" << s.infeasible
-     << ",\"timed_out\":" << s.timed_out
-     << ",\"cancelled\":" << s.cancelled
-     << ",\"rejected_total\":" << s.rejected_total << ",\"rejected\":{";
-  for (int i = 0; i < kNumRejectReasons; ++i) {
-    if (i > 0) os << ",";
-    os << "\"" << to_string(static_cast<RejectReason>(i))
-       << "\":" << s.rejected_by_reason[static_cast<std::size_t>(i)];
-  }
-  os << "},\"latency_ms\":{\"p50\":" << s.latency.p50_ms
-     << ",\"p95\":" << s.latency.p95_ms << ",\"p99\":" << s.latency.p99_ms
-     << ",\"max\":" << s.latency.max_ms << "}"
-     << ",\"queue_wait_ms\":{\"p50\":" << s.queue_wait.p50_ms
-     << ",\"p95\":" << s.queue_wait.p95_ms
-     << ",\"p99\":" << s.queue_wait.p99_ms << "}";
-  if (cache_enabled_) {
-    os << ",\"cache_hits\":" << s.cache_hits
-       << ",\"cache_hit_latency_ms\":{\"p50\":"
-       << s.cache_hit_latency.p50_ms
-       << ",\"p99\":" << s.cache_hit_latency.p99_ms << "}";
-  }
-  os << ",\"watchdog_tripped\":" << (s.watchdog_tripped ? "true" : "false")
-     << "}";
-  return os.str();
 }
 
 }  // namespace lera::server

@@ -133,8 +133,8 @@ class ServerMetrics {
     return tripped_.load(std::memory_order_acquire);
   }
 
-  /// Marks the cache as configured: emit_metric_lines/json add the
-  /// cache_* fields. Off by default so cache-off output stays
+  /// Marks the cache as configured: emit_metric_lines adds the cache_*
+  /// fields. Off by default so cache-off output stays
   /// byte-identical to the pre-cache server. Set before serving.
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
 
@@ -142,10 +142,6 @@ class ServerMetrics {
 
   /// One "LERA_METRIC server_<name> <value>" line per counter/quantile.
   void emit_metric_lines(std::ostream& os) const;
-
-  /// The snapshot as a flat JSON object (BENCH_server.json building
-  /// block).
-  std::string json() const;
 
  private:
   void update_watchdog();

@@ -480,17 +480,8 @@ void Server::handle_event(Conn& conn, FrameEvent event) {
         break;
       }
       case FrameVerb::kStats: {
-        const netflow::MemoryBudget budget = engine_->memory_budget();
         std::ostringstream os;
-        metrics_.emit_metric_lines(os);
-        os << "LERA_METRIC server_memory_bytes_in_use " << budget.used()
-           << "\n"
-           << "LERA_METRIC server_memory_peak_bytes " << budget.peak()
-           << "\n"
-           << "LERA_METRIC server_memory_denials " << budget.denials()
-           << "\n";
-        if (supervisor_) emit_supervisor_metric_lines(os);
-        if (cache_ != nullptr) emit_cache_metric_lines(os);
+        emit_metric_lines(os);
         os << "LERA_STATS_END " << id << "\n";
         ready = os.str();
         break;
@@ -748,74 +739,47 @@ void Server::serve(ByteStream& stream) {
        << " rejected=" << s.rejected_total;
     if (cache_ != nullptr) os << " cache_hits=" << s.cache_hits;
     os << "\n";
-    metrics_.emit_metric_lines(os);
-    if (supervisor_) emit_supervisor_metric_lines(os);
-    if (cache_ != nullptr) emit_cache_metric_lines(os);
+    emit_metric_lines(os);
     stream.write(os.str());
   }
 }
 
-void Server::emit_supervisor_metric_lines(std::ostream& os) const {
-  const SupervisorStats w = supervisor_->stats();
-  os << "LERA_METRIC server_workers_alive " << w.workers_alive << "\n"
-     << "LERA_METRIC server_workers_spawned " << w.spawned << "\n"
-     << "LERA_METRIC server_worker_crashes " << w.crashes << "\n"
-     << "LERA_METRIC server_worker_restarts " << w.restarts << "\n"
-     << "LERA_METRIC server_worker_hung_kills " << w.hung_kills << "\n"
-     << "LERA_METRIC server_quarantined_fingerprints "
-     << w.quarantined_fingerprints << "\n"
-     << "LERA_METRIC server_quarantine_rejects " << w.quarantine_rejects
-     << "\n"
-     << "LERA_METRIC server_crash_corpus_files " << w.corpus_files
-     << "\n";
-}
-
-void Server::emit_cache_metric_lines(std::ostream& os) const {
-  const engine::AllocCacheStats cs = cache_->stats();
-  os << "LERA_METRIC server_cache_entries " << cs.entries << "\n"
-     << "LERA_METRIC server_cache_misses " << cs.misses << "\n"
-     << "LERA_METRIC server_cache_insertions " << cs.insertions << "\n"
-     << "LERA_METRIC server_cache_evictions " << cs.evictions << "\n"
-     << "LERA_METRIC server_cache_audit_samples " << cs.audit_samples
-     << "\n"
-     << "LERA_METRIC server_cache_audit_evictions " << cs.audit_evictions
-     << "\n"
-     << "LERA_METRIC server_cache_bytes " << cs.bytes_in_use << "\n"
-     << "LERA_METRIC server_cache_text_hits " << text_front_->hit_count()
-     << "\n"
-     << "LERA_METRIC server_cache_text_entries " << text_front_->entries()
-     << "\n";
-}
-
-std::string Server::metrics_json() const {
-  std::string json = metrics_.json();
+void Server::emit_metric_lines(std::ostream& os) const {
+  metrics_.emit_metric_lines(os);
+  const netflow::MemoryBudget budget = engine_->memory_budget();
+  os << "LERA_METRIC server_memory_bytes_in_use " << budget.used() << "\n"
+     << "LERA_METRIC server_memory_peak_bytes " << budget.peak() << "\n"
+     << "LERA_METRIC server_memory_denials " << budget.denials() << "\n";
   if (supervisor_) {
     const SupervisorStats w = supervisor_->stats();
-    std::ostringstream os;
-    os << ",\"workers\":{\"configured\":" << options_.isolation.workers
-       << ",\"alive\":" << w.workers_alive << ",\"spawned\":" << w.spawned
-       << ",\"crashes\":" << w.crashes << ",\"restarts\":" << w.restarts
-       << ",\"hung_kills\":" << w.hung_kills
-       << ",\"quarantined_fingerprints\":" << w.quarantined_fingerprints
-       << ",\"quarantine_rejects\":" << w.quarantine_rejects
-       << ",\"crash_corpus_files\":" << w.corpus_files << "}";
-    json.insert(json.size() - 1, os.str());
+    os << "LERA_METRIC server_workers_alive " << w.workers_alive << "\n"
+       << "LERA_METRIC server_workers_spawned " << w.spawned << "\n"
+       << "LERA_METRIC server_worker_crashes " << w.crashes << "\n"
+       << "LERA_METRIC server_worker_restarts " << w.restarts << "\n"
+       << "LERA_METRIC server_worker_hung_kills " << w.hung_kills << "\n"
+       << "LERA_METRIC server_quarantined_fingerprints "
+       << w.quarantined_fingerprints << "\n"
+       << "LERA_METRIC server_quarantine_rejects " << w.quarantine_rejects
+       << "\n"
+       << "LERA_METRIC server_crash_corpus_files " << w.corpus_files
+       << "\n";
   }
   if (cache_ != nullptr) {
     const engine::AllocCacheStats cs = cache_->stats();
-    std::ostringstream os;
-    os << ",\"cache\":{\"entries\":" << cs.entries
-       << ",\"hits\":" << cs.hits << ",\"misses\":" << cs.misses
-       << ",\"insertions\":" << cs.insertions
-       << ",\"evictions\":" << cs.evictions
-       << ",\"audit_samples\":" << cs.audit_samples
-       << ",\"audit_evictions\":" << cs.audit_evictions
-       << ",\"bytes\":" << cs.bytes_in_use
-       << ",\"text_hits\":" << text_front_->hit_count()
-       << ",\"text_entries\":" << text_front_->entries() << "}";
-    json.insert(json.size() - 1, os.str());
+    os << "LERA_METRIC server_cache_entries " << cs.entries << "\n"
+       << "LERA_METRIC server_cache_misses " << cs.misses << "\n"
+       << "LERA_METRIC server_cache_insertions " << cs.insertions << "\n"
+       << "LERA_METRIC server_cache_evictions " << cs.evictions << "\n"
+       << "LERA_METRIC server_cache_audit_samples " << cs.audit_samples
+       << "\n"
+       << "LERA_METRIC server_cache_audit_evictions " << cs.audit_evictions
+       << "\n"
+       << "LERA_METRIC server_cache_bytes " << cs.bytes_in_use << "\n"
+       << "LERA_METRIC server_cache_text_hits " << text_front_->hit_count()
+       << "\n"
+       << "LERA_METRIC server_cache_text_entries " << text_front_->entries()
+       << "\n";
   }
-  return json;
 }
 
 }  // namespace lera::server

@@ -128,8 +128,11 @@ class Server {
 
   HealthStatus health() const;
   MetricsSnapshot metrics() const { return metrics_.snapshot(); }
-  /// metrics_.json(), plus a "workers" object in isolated mode.
-  std::string metrics_json() const;
+  /// The LERA_METRIC block a STATS reply, a drained connection's trailer
+  /// and lera_server's exit log all carry: the ServerMetrics lines, the
+  /// engine memory budget, then the worker and cache lines when those
+  /// are configured.
+  void emit_metric_lines(std::ostream& os) const;
 
   const engine::Engine& engine() const { return *engine_; }
   const ServerOptions& options() const { return options_; }
@@ -147,8 +150,6 @@ class Server {
   void finish_isolated(Conn& conn, ConnEntry& entry);
   void maybe_cache_worker_result(const ConnEntry& entry,
                                  const std::string& line);
-  void emit_supervisor_metric_lines(std::ostream& os) const;
-  void emit_cache_metric_lines(std::ostream& os) const;
   std::string next_auto_id();
 
   ServerOptions options_;

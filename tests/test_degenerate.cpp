@@ -6,7 +6,7 @@
 #include "alloc/memory_layout.hpp"
 #include "alloc/offset_assignment.hpp"
 #include "alloc/two_phase.hpp"
-#include "pipeline/pipeline.hpp"
+#include "engine/engine.hpp"
 #include "report/ascii_chart.hpp"
 #include "sched/schedule.hpp"
 
@@ -52,6 +52,12 @@ TEST(Degenerate, EmptyBlockThroughThePipeline) {
   const AllocationProblem p = make_problem_from_block(bb, s, 3, params);
   EXPECT_TRUE(p.lifetimes.empty());
   EXPECT_TRUE(allocate(p).feasible);
+
+  ir::TaskGraph app;
+  app.add_task("empty", bb);
+  const engine::PipelineReport report = engine::Engine().run(app);
+  ASSERT_EQ(report.tasks.size(), 1u);
+  EXPECT_TRUE(report.all_feasible) << report.tasks[0].failure_reason;
 }
 
 TEST(Degenerate, InputOnlyBlock) {

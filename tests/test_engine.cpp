@@ -5,13 +5,10 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "engine/engine.hpp"
 #include "engine/thread_pool.hpp"
-#include "pipeline/explore.hpp"
-#include "pipeline/pipeline.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/random_gen.hpp"
 
@@ -164,13 +161,11 @@ TEST(Engine, RunDeterministicAcrossThreadCountsPaperExample) {
 
   opts.threads = 1;
   const PipelineReport sequential = Engine(opts).run(tg);
-  for (int threads : {2, 4, 8}) {
+  // threads = 0 resolves to every hardware thread.
+  for (int threads : {0, 2, 4, 8}) {
     opts.threads = threads;
     expect_same_report(sequential, Engine(opts).run(tg));
   }
-  // The legacy free function is a wrapper over the same engine.
-  opts.threads = 0;
-  expect_same_report(sequential, pipeline::run_pipeline(tg, opts));
 }
 
 TEST(Engine, RunDeterministicAcrossThreadCountsRandomGraphs) {
@@ -192,23 +187,22 @@ TEST(Engine, ExploreDeterministicAcrossThreadCounts) {
   EngineOptions opts;
   opts.threads = 1;
   const ExploreResult sequential = Engine(opts).explore(bb);
-  opts.threads = 8;
-  const ExploreResult parallel = Engine(opts).explore(bb);
-
-  EXPECT_EQ(sequential.best, parallel.best);
-  ASSERT_EQ(sequential.candidates.size(), parallel.candidates.size());
-  for (std::size_t i = 0; i < sequential.candidates.size(); ++i) {
-    const ScheduleCandidate& a = sequential.candidates[i];
-    const ScheduleCandidate& b = parallel.candidates[i];
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.length, b.length);
-    EXPECT_EQ(a.max_density, b.max_density);
-    EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.energy, b.energy);
+  // threads = 0 resolves to every hardware thread.
+  for (int threads : {0, 8}) {
+    opts.threads = threads;
+    const ExploreResult parallel = Engine(opts).explore(bb);
+    EXPECT_EQ(sequential.best, parallel.best);
+    ASSERT_EQ(sequential.candidates.size(), parallel.candidates.size());
+    for (std::size_t i = 0; i < sequential.candidates.size(); ++i) {
+      const ScheduleCandidate& a = sequential.candidates[i];
+      const ScheduleCandidate& b = parallel.candidates[i];
+      EXPECT_EQ(a.label, b.label);
+      EXPECT_EQ(a.length, b.length);
+      EXPECT_EQ(a.max_density, b.max_density);
+      EXPECT_EQ(a.feasible, b.feasible);
+      EXPECT_EQ(a.energy, b.energy);
+    }
   }
-  // And the legacy wrapper agrees on the winner.
-  const pipeline::ExploreResult legacy = pipeline::explore_schedules(bb);
-  EXPECT_EQ(legacy.best, sequential.best);
 }
 
 // ---------------------------------------------------------------------
@@ -917,19 +911,87 @@ TEST(Engine, ShutdownTokenIsExposedForChaining) {
 }
 
 // ---------------------------------------------------------------------
-// Unified options
+// One solve path: every entry point's solves see the same supervision,
+// audit, stats and cache.
 
-TEST(Engine, LegacyOptionStructsAreTheEngineOptionCore) {
-  // PipelineOptions / ExploreOptions are deprecated aliases: one struct,
-  // one place to set num_registers.
-  static_assert(std::is_same_v<pipeline::PipelineOptions, EngineOptions>);
-  static_assert(std::is_same_v<pipeline::ExploreOptions, EngineOptions>);
-  pipeline::PipelineOptions opts;
-  opts.num_registers = 7;
+TEST(Engine, EveryEntryPointSolvesUnderTheSameCapAndAudit) {
+  EngineOptions opts;
   opts.threads = 2;
+  opts.max_bytes_per_solve = 64;  // Too small for any flow attempt.
+  opts.alloc.fallback_to_baseline = true;
+  opts.audit_level = audit::AuditLevel::kFullCost;
   const Engine engine(opts);
-  EXPECT_EQ(engine.options().num_registers, 7);
-  EXPECT_EQ(engine.threads(), 2);
+  const auto expect_refused = [](const alloc::AllocationResult& r,
+                                 const std::string& what) {
+    EXPECT_TRUE(r.memory_exceeded) << what;
+    EXPECT_TRUE(r.degraded) << what;
+    EXPECT_TRUE(r.audit.audited) << what;
+  };
+
+  const PipelineReport report = engine.run(paper_example_app());
+  for (const TaskReport& tr : report.tasks) {
+    expect_refused(tr.result, "task " + tr.name);
+  }
+
+  std::vector<alloc::AllocationProblem> problems;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    problems.push_back(random_problem(seed));
+  }
+  const std::vector<alloc::AllocationResult> batch =
+      engine.allocate_batch(problems);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    expect_refused(batch[i], "batch " + std::to_string(i));
+  }
+
+  Session session = engine.open_session();
+  for (const alloc::AllocationProblem& p : problems) session.submit(p);
+  const std::vector<alloc::AllocationResult> tickets = session.collect();
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    expect_refused(tickets[i], "ticket " + std::to_string(i));
+  }
+
+  // explore() keeps only energies, so its refusals show in the stats.
+  const std::int64_t refused_before = engine.stats().solves_memory_exceeded;
+  const ExploreResult explored = engine.explore(workloads::make_fir(6));
+  EXPECT_EQ(engine.stats().solves_memory_exceeded - refused_before,
+            static_cast<std::int64_t>(explored.candidates.size()));
+
+  // Each solve is booked exactly once, whichever entry point ran it.
+  const std::int64_t solves = static_cast<std::int64_t>(
+      report.tasks.size() + batch.size() + tickets.size() +
+      explored.candidates.size());
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.solves_started, solves);
+  EXPECT_EQ(stats.solves_completed, solves);
+  EXPECT_EQ(stats.solves_memory_exceeded, solves);
+}
+
+TEST(Engine, AllocateBatchAndSessionsShareOneCache) {
+  EngineOptions opts;
+  opts.threads = 2;
+  opts.cache_entries = 16;
+  opts.alloc.certify = true;  // Only certified answers are cached.
+  const Engine engine(opts);
+  const alloc::AllocationProblem a = random_problem(1);
+  const alloc::AllocationProblem b = random_problem(2);
+  Session session = engine.open_session();
+
+  // allocate_batch solves a, a Session hits it; a Session solves b,
+  // allocate_batch hits it.
+  const alloc::AllocationResult cold_a = engine.allocate_batch({a}).front();
+  const alloc::AllocationResult hit_a = session.result(session.submit(a));
+  const alloc::AllocationResult cold_b = session.result(session.submit(b));
+  const alloc::AllocationResult hit_b = engine.allocate_batch({b}).front();
+  ASSERT_TRUE(cold_a.feasible && cold_b.feasible);
+  expect_same_result(cold_a, hit_a, "a");
+  expect_same_result(cold_b, hit_b, "b");
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.solves_started, 2);
+  EXPECT_EQ(stats.solves_completed, 2);
+  EXPECT_EQ(stats.cache.misses, 2);
+  EXPECT_EQ(stats.cache.insertions, 2);
+  EXPECT_EQ(stats.cache.hits, 2);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "pipeline/explore.hpp"
 #include "workloads/kernels.hpp"
 
@@ -8,15 +9,15 @@ namespace {
 
 TEST(Explore, EvaluatesAllCandidates) {
   const ir::BasicBlock bb = workloads::make_elliptic_wave_filter();
-  ExploreOptions opts;
-  const ExploreResult out = explore_schedules(bb, opts);
+  engine::EngineOptions opts;
+  const engine::ExploreResult out = engine::Engine(opts).explore(bb);
   EXPECT_EQ(out.candidates.size(),
             opts.resource_options.size() + opts.slack_options.size());
   ASSERT_GE(out.best, 0);
-  const ScheduleCandidate& best =
+  const engine::ScheduleCandidate& best =
       out.candidates[static_cast<std::size_t>(out.best)];
   EXPECT_TRUE(best.feasible);
-  for (const ScheduleCandidate& c : out.candidates) {
+  for (const engine::ScheduleCandidate& c : out.candidates) {
     if (c.feasible) {
       EXPECT_LE(best.energy, c.energy + 1e-9);
       EXPECT_TRUE(c.schedule.verify(bb).empty()) << c.label;
@@ -26,10 +27,10 @@ TEST(Explore, EvaluatesAllCandidates) {
 
 TEST(Explore, DeadlineFiltersSlowSchedules) {
   const ir::BasicBlock bb = workloads::make_fir(8);
-  ExploreOptions strict;
+  engine::EngineOptions strict;
   strict.deadline = sched::asap(bb).length(bb);  // Only critical path.
-  const ExploreResult out = explore_schedules(bb, strict);
-  for (const ScheduleCandidate& c : out.candidates) {
+  const engine::ExploreResult out = engine::Engine(strict).explore(bb);
+  for (const engine::ScheduleCandidate& c : out.candidates) {
     if (c.feasible) {
       EXPECT_LE(c.length, strict.deadline) << c.label;
     }
@@ -38,10 +39,10 @@ TEST(Explore, DeadlineFiltersSlowSchedules) {
 
 TEST(Explore, TighterResourcesStretchSchedulesAndLowerDensity) {
   const ir::BasicBlock bb = workloads::make_rsp(4);
-  ExploreOptions opts;
+  engine::EngineOptions opts;
   opts.resource_options = {{1, 1}, {4, 4}};
   opts.slack_options = {};
-  const ExploreResult out = explore_schedules(bb, opts);
+  const engine::ExploreResult out = engine::Engine(opts).explore(bb);
   ASSERT_EQ(out.candidates.size(), 2u);
   const auto& tight = out.candidates[0];
   const auto& loose = out.candidates[1];
@@ -53,9 +54,9 @@ TEST(Explore, TighterResourcesStretchSchedulesAndLowerDensity) {
 TEST(Explore, BestBeatsDefaultChoice) {
   // The winner can only improve on blindly taking the first candidate.
   const ir::BasicBlock bb = workloads::make_fft_butterfly();
-  ExploreOptions opts;
+  engine::EngineOptions opts;
   opts.num_registers = 3;
-  const ExploreResult out = explore_schedules(bb, opts);
+  const engine::ExploreResult out = engine::Engine(opts).explore(bb);
   ASSERT_GE(out.best, 0);
   const auto& first = out.candidates[0];
   const auto& best = out.candidates[static_cast<std::size_t>(out.best)];

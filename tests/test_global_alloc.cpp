@@ -32,7 +32,7 @@ ir::TaskGraph two_stage_chain() {
 
 TEST(GlobalAlloc, StitchesNamedValuesAcrossTasks) {
   const ir::TaskGraph tg = two_stage_chain();
-  PipelineOptions opts;
+  engine::EngineOptions opts;
   opts.num_registers = 4;
   const GlobalReport report = global_allocate(tg, opts);
   ASSERT_TRUE(report.feasible) << report.message;
@@ -57,7 +57,7 @@ TEST(GlobalAlloc, StitchesNamedValuesAcrossTasks) {
 
 TEST(GlobalAlloc, IntermediateRidesARegisterAcrossTheBoundary) {
   const ir::TaskGraph tg = two_stage_chain();
-  PipelineOptions opts;
+  engine::EngineOptions opts;
   opts.num_registers = 4;
 
   const GlobalReport global = global_allocate(tg, opts);
@@ -68,7 +68,7 @@ TEST(GlobalAlloc, IntermediateRidesARegisterAcrossTheBoundary) {
 
   // Per-block allocation cannot express that: "mid" is charged its base
   // memory write+read as a live-out/live-in pair.
-  const PipelineReport per_block = run_pipeline(tg, opts);
+  const engine::PipelineReport per_block = engine::Engine(opts).run(tg);
   ASSERT_TRUE(per_block.all_feasible);
   EXPECT_LT(global.result.static_energy.total(),
             per_block.total_static_energy);
@@ -76,7 +76,7 @@ TEST(GlobalAlloc, IntermediateRidesARegisterAcrossTheBoundary) {
 
 TEST(GlobalAlloc, TimelineConcatenatesSchedules) {
   const ir::TaskGraph tg = two_stage_chain();
-  PipelineOptions opts;
+  engine::EngineOptions opts;
   const GlobalReport report = global_allocate(tg, opts);
   ASSERT_TRUE(report.feasible);
   EXPECT_EQ(report.total_steps, 3);  // add (1 step) + mul (2 steps).
@@ -92,7 +92,7 @@ TEST(GlobalAlloc, UnmatchedInputsStayIndependent) {
   const ir::TaskId ta = tg.add_task("a", std::move(a));
   tg.add_task("b", std::move(b), {ta});
 
-  PipelineOptions opts;
+  engine::EngineOptions opts;
   const GlobalReport report = global_allocate(tg, opts);
   ASSERT_TRUE(report.feasible);
   EXPECT_EQ(report.stitched_values, 0);
@@ -106,7 +106,7 @@ TEST(GlobalAlloc, ChainedKernelsStayValid) {
       tg.add_task("biquad", workloads::make_iir_biquad(), {f});
   tg.add_task("detect", workloads::make_rsp(3), {g});
 
-  PipelineOptions opts;
+  engine::EngineOptions opts;
   opts.num_registers = 8;
   const GlobalReport report = global_allocate(tg, opts);
   ASSERT_TRUE(report.feasible) << report.message;
@@ -119,7 +119,7 @@ TEST(GlobalAlloc, ChainedKernelsStayValid) {
 
 TEST(GlobalAlloc, RestrictedAccessAppliesGlobally) {
   const ir::TaskGraph tg = two_stage_chain();
-  PipelineOptions opts;
+  engine::EngineOptions opts;
   opts.num_registers = 4;
   opts.split.access.period = 2;
   const GlobalReport report = global_allocate(tg, opts);

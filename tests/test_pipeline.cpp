@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "pipeline/pipeline.hpp"
+#include "engine/engine.hpp"
 #include "workloads/kernels.hpp"
 
-namespace lera::pipeline {
+namespace lera::engine {
 namespace {
 
 ir::TaskGraph radar_app() {
@@ -17,9 +17,9 @@ ir::TaskGraph radar_app() {
 
 TEST(Pipeline, RunsAllTasks) {
   const ir::TaskGraph tg = radar_app();
-  PipelineOptions opts;
+  EngineOptions opts;
   opts.num_registers = 6;
-  const PipelineReport report = run_pipeline(tg, opts);
+  const PipelineReport report = Engine(opts).run(tg);
   ASSERT_EQ(report.tasks.size(), 3u);
   EXPECT_TRUE(report.all_feasible);
   for (const TaskReport& tr : report.tasks) {
@@ -33,9 +33,9 @@ TEST(Pipeline, RunsAllTasks) {
 
 TEST(Pipeline, AggregatesMatchPerTaskNumbers) {
   const ir::TaskGraph tg = radar_app();
-  PipelineOptions opts;
+  EngineOptions opts;
   opts.num_registers = 4;
-  const PipelineReport report = run_pipeline(tg, opts);
+  const PipelineReport report = Engine(opts).run(tg);
   ASSERT_TRUE(report.all_feasible);
   double stat = 0;
   double act = 0;
@@ -58,14 +58,14 @@ TEST(Pipeline, AggregatesMatchPerTaskNumbers) {
 
 TEST(Pipeline, MemoryRelayoutOptional) {
   const ir::TaskGraph tg = radar_app();
-  PipelineOptions with;
+  EngineOptions with;
   with.num_registers = 2;  // Keep some traffic in memory.
   with.relayout_memory = true;
-  PipelineOptions without = with;
+  EngineOptions without = with;
   without.relayout_memory = false;
 
-  const PipelineReport a = run_pipeline(tg, with);
-  const PipelineReport b = run_pipeline(tg, without);
+  const PipelineReport a = Engine(with).run(tg);
+  const PipelineReport b = Engine(without).run(tg);
   ASSERT_TRUE(a.all_feasible && b.all_feasible);
   bool any_layout = false;
   for (std::size_t i = 0; i < a.tasks.size(); ++i) {
@@ -83,12 +83,12 @@ TEST(Pipeline, MemoryRelayoutOptional) {
 
 TEST(Pipeline, MoreRegistersReduceMemoryTraffic) {
   const ir::TaskGraph tg = radar_app();
-  PipelineOptions small;
+  EngineOptions small;
   small.num_registers = 1;
-  PipelineOptions large;
+  EngineOptions large;
   large.num_registers = 12;
-  const PipelineReport rs = run_pipeline(tg, small);
-  const PipelineReport rl = run_pipeline(tg, large);
+  const PipelineReport rs = Engine(small).run(tg);
+  const PipelineReport rl = Engine(large).run(tg);
   ASSERT_TRUE(rs.all_feasible && rl.all_feasible);
   EXPECT_LT(rl.total_mem_accesses, rs.total_mem_accesses);
   EXPECT_LE(rl.total_static_energy, rs.total_static_energy);
@@ -96,11 +96,11 @@ TEST(Pipeline, MoreRegistersReduceMemoryTraffic) {
 
 TEST(Pipeline, RestrictedMemorySupported) {
   const ir::TaskGraph tg = radar_app();
-  PipelineOptions opts;
+  EngineOptions opts;
   opts.num_registers = 10;
   opts.split.access.period = 2;
   opts.params.v_mem = 3.0;
-  const PipelineReport report = run_pipeline(tg, opts);
+  const PipelineReport report = Engine(opts).run(tg);
   EXPECT_TRUE(report.all_feasible);
   for (const TaskReport& tr : report.tasks) {
     EXPECT_TRUE(tr.result.feasible) << tr.name;
@@ -109,11 +109,11 @@ TEST(Pipeline, RestrictedMemorySupported) {
 
 TEST(Pipeline, DefaultActivityWhenNoTrace) {
   const ir::TaskGraph tg = radar_app();
-  PipelineOptions opts;
+  EngineOptions opts;
   opts.trace_samples = 0;
-  const PipelineReport report = run_pipeline(tg, opts);
+  const PipelineReport report = Engine(opts).run(tg);
   EXPECT_TRUE(report.all_feasible);
 }
 
 }  // namespace
-}  // namespace lera::pipeline
+}  // namespace lera::engine

@@ -721,5 +721,28 @@ TEST(ServerCache, IsolatedModeCachesInParentAndSkipsWorkerOnHit) {
   EXPECT_EQ(s.accounted_requests(), s.solve_requests);
 }
 
+TEST(Server, DrainTrailerAndStatsCarryTheSameMetricNames) {
+  // Both are written by one metric block, so a counter added to STATS
+  // cannot go missing from the drain ledger (or the reverse).
+  const auto metric_names = [](const std::vector<std::string>& lines) {
+    std::vector<std::string> names;
+    for (const std::string& l : lines) {
+      if (l.rfind("LERA_METRIC ", 0) != 0) continue;
+      names.push_back(l.substr(0, l.find(' ', 12)));
+    }
+    return names;
+  };
+  for (const ServerOptions& opts : {deterministic_options(),
+                                    cached_options()}) {
+    Server server(opts);
+    const std::vector<std::string> stats = metric_names(converse(
+        server, {solve_frame("a", kTinyProblem), "STATS 0 id=s\n"}));
+    const std::vector<std::string> trailer =
+        metric_names(converse(server, {"DRAIN 0 id=d\n"}));
+    EXPECT_FALSE(stats.empty());
+    EXPECT_EQ(stats, trailer);
+  }
+}
+
 }  // namespace
 }  // namespace lera::server
