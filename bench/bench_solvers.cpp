@@ -57,10 +57,6 @@ BENCHMARK(BM_RandomInstance<netflow::SolverKind::kNetworkSimplex>)
     ->RangeMultiplier(4)
     ->Range(16, 1024)
     ->Complexity();
-BENCHMARK(BM_RandomInstance<netflow::SolverKind::kCycleCanceling>)
-    ->RangeMultiplier(4)
-    ->Range(16, 256)
-    ->Complexity();
 
 template <netflow::SolverKind Kind>
 void BM_AllocationGraph(benchmark::State& state) {
@@ -74,11 +70,12 @@ void BM_AllocationGraph(benchmark::State& state) {
       std::max(2, lopts.num_vars / 8), params,
       workloads::random_activity(12,
                                  static_cast<std::size_t>(lopts.num_vars)));
-  const alloc::FlowGraphSpec spec =
+  alloc::FlowGraphSpec spec =
       alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
+  spec.graph.add_supply(spec.s, p.num_registers);
+  spec.graph.add_supply(spec.t, -p.num_registers);
   for (auto _ : state) {
-    netflow::FlowSolution sol = netflow::solve_st_flow(
-        spec.graph, spec.s, spec.t, p.num_registers, Kind);
+    netflow::FlowSolution sol = netflow::solve(spec.graph, Kind);
     benchmark::DoNotOptimize(sol);
   }
   state.SetComplexityN(state.range(0));

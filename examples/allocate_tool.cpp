@@ -8,12 +8,11 @@
 //     -g GRAPH      density | allpairs (default density)
 //     -l FILE       read a lifetime problem (problem_io format) instead
 //                   of a code kernel; -r/-p of the file take precedence
-//     --solver S    auto | ssp | simplex | cycle-canceling
-//                   (default auto): primary min-cost-flow backend; auto
-//                   picks per instance (SSP up to 12 registers, network
-//                   simplex above; netflow/select.hpp) and the chosen
-//                   backend appears in the solver diagnostics line / CSV
-//                   solver column
+//     --solver S    auto | ssp | simplex (default auto): primary
+//                   min-cost-flow backend; auto picks per instance (SSP
+//                   up to 12 registers, network simplex above;
+//                   netflow/select.hpp) and the chosen backend appears
+//                   in the solver diagnostics line / CSV solver column
 //     --threads N   engine worker threads (0 = all cores, 1 = sequential;
 //                   results are identical either way)
 //     --deadline-ms N  wall-clock budget for the whole run; overrunning
@@ -211,11 +210,8 @@ int main(int argc, char** argv) {
         alloc_opts.solver = netflow::SolverKind::kSuccessiveShortestPaths;
       } else if (name == "simplex") {
         alloc_opts.solver = netflow::SolverKind::kNetworkSimplex;
-      } else if (name == "cycle-canceling") {
-        alloc_opts.solver = netflow::SolverKind::kCycleCanceling;
       } else {
-        std::cerr << "error: --solver expects "
-                     "auto|ssp|simplex|cycle-canceling, got '"
+        std::cerr << "error: --solver expects auto|ssp|simplex, got '"
                   << name << "'\n";
         return 1;
       }
@@ -264,7 +260,7 @@ int main(int argc, char** argv) {
     } else if (arg == "-h" || arg == "--help") {
       std::cout << "usage: allocate_tool [file.lera...] [-r N] [-p N] "
                    "[-m static|activity] [-g density|allpairs] "
-                   "[--solver auto|ssp|simplex|cycle-canceling] "
+                   "[--solver auto|ssp|simplex] "
                    "[--threads N] [--deadline-ms N] "
                    "[--max-bytes N] [--audit off|legality|full] "
                    "[--pipeline] [--explore] [--perf] [--cache] "
@@ -490,7 +486,16 @@ int main(int argc, char** argv) {
                    "candidate)\n";
     }
     print_perf();
-    return ex.best >= 0 ? 0 : 1;
+    bool audit_failed = false;
+    for (const engine::ScheduleCandidate& c : ex.candidates) {
+      if (c.audit.audited && !c.audit.clean()) {
+        audit_failed = true;
+        print_audit_findings(c.label, c.audit);
+      }
+    }
+    // No feasible candidate wins (1), then audit findings (2).
+    if (ex.best < 0) return 1;
+    return audit_failed ? 2 : 0;
   }
 
   const alloc::AllocationResult r = engine.allocate_batch({p}).front();

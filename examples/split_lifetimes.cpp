@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "alloc/allocator.hpp"
-#include "netflow/solution.hpp"
+#include "netflow/robust.hpp"
 #include "report/dot.hpp"
 #include "report/table.hpp"
 #include "workloads/paper_examples.hpp"
@@ -80,8 +80,11 @@ int main(int argc, char** argv) {
   // Render the flow graph (paper Figure 1c) with the solution on it.
   const alloc::FlowGraphSpec spec =
       alloc::build_dense_flow_graph(p, alloc::GraphStyle::kDensityRegions);
-  const netflow::FlowSolution sol = netflow::solve_st_flow(
-      spec.graph, spec.s, spec.t, p.num_registers);
+  netflow::SolveOptions options;
+  options.chain =
+      netflow::fallback_chain(netflow::SolverKind::kSuccessiveShortestPaths);
+  const netflow::FlowSolution sol = netflow::solve_st_flow_robust(
+      spec.graph, spec.s, spec.t, p.num_registers, options);
   const char* path = argc > 1 ? argv[1] : "figure1c_flow.dot";
   std::ofstream out(path);
   report::write_dot(out, p, spec, &sol);

@@ -25,8 +25,7 @@ namespace {
 netflow::SolveOptions robust_options(const AllocatorOptions& options) {
   netflow::SolveOptions solve = options.solve;
   if (solve.chain.empty()) {
-    solve.chain = {options.solver, netflow::SolverKind::kNetworkSimplex,
-                   netflow::SolverKind::kSuccessiveShortestPaths};
+    solve.chain = netflow::fallback_chain(options.solver);
   }
   solve.certify = options.certify ? netflow::CertifyLevel::kOptimal
                                   : netflow::CertifyLevel::kFeasible;

@@ -499,7 +499,7 @@ std::int64_t estimate_problem_footprint(const AllocationProblem& p,
   shape.nodes = static_cast<netflow::NodeId>(std::min<std::int64_t>(
       size.nodes, std::numeric_limits<netflow::NodeId>::max()));
   shape.arcs = size.arcs;
-  // solve_st_flow adds +/-R at s/t: volume R.
+  // solve_st_flow_robust adds +/-R at s/t: volume R.
   shape.supply_volume = p.num_registers;
 
   const std::int64_t spec_bytes =

@@ -103,8 +103,14 @@ HierarchicalResult allocate_hierarchical(const AllocationProblem& p,
     }
     g.add_arc(s, t, hierarchy.onchip_capacity, 0);  // Idle capacity.
 
-    const netflow::FlowSolution sol = netflow::solve_st_flow(
-        g, s, t, hierarchy.onchip_capacity, options.solver);
+    // Stage 1's chain and certification rule, but not options.solve:
+    // its warm-start cache belongs to the allocation flow.
+    netflow::SolveOptions stage2;
+    stage2.chain = netflow::fallback_chain(options.solver);
+    stage2.certify = options.certify ? netflow::CertifyLevel::kOptimal
+                                     : netflow::CertifyLevel::kFeasible;
+    const netflow::FlowSolution sol = netflow::solve_st_flow_robust(
+        g, s, t, hierarchy.onchip_capacity, stage2);
     if (!sol.optimal()) {
       out.message = "stage 2 flow failed unexpectedly";
       return out;

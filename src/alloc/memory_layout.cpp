@@ -5,6 +5,7 @@
 #include "alloc/evaluate.hpp"
 #include "alloc/mem_runs.hpp"
 #include "netflow/graph.hpp"
+#include "netflow/robust.hpp"
 
 namespace lera::alloc {
 
@@ -107,8 +108,11 @@ MemoryLayout optimize_memory_layout(const AllocationProblem& p,
     g.add_arc(r_node[j], t, 1, 0);
   }
 
-  const netflow::FlowSolution sol = netflow::solve_st_flow(
-      g, s, t, layout.locations, solver);
+  netflow::SolveOptions options;
+  options.chain = netflow::fallback_chain(solver);
+  options.certify = netflow::CertifyLevel::kFeasible;
+  const netflow::FlowSolution sol = netflow::solve_st_flow_robust(
+      g, s, t, layout.locations, options);
   if (!sol.optimal()) return layout;  // layout.feasible stays false
 
   // Extract occupant chains -> addresses.

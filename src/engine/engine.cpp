@@ -301,9 +301,10 @@ ExploreResult Engine::explore(const ir::BasicBlock& bb) const {
         bb, c.schedule, options_.num_registers, options_.params, {},
         options_.split);
     c.max_density = p.max_density();
-    const alloc::AllocationResult r =
+    alloc::AllocationResult r =
         solve(p, options_.alloc, request_deadline(options_, run_deadline),
               shutdown_, /*use_cache=*/false);
+    c.audit = std::move(r.audit);
     if (r.feasible &&
         (options_.deadline == 0 || c.length <= options_.deadline)) {
       c.feasible = true;

@@ -298,6 +298,9 @@ struct ScheduleCandidate {
   int max_density = 0;
   double energy = 0;       ///< Storage energy of the optimal allocation.
   bool feasible = false;
+  /// The independent auditor's verdict on the candidate's allocation
+  /// (empty when EngineOptions::audit_level is kOff).
+  audit::AuditReport audit;
 };
 
 struct ExploreResult {

@@ -6,14 +6,6 @@
 
 namespace lera::netflow {
 
-namespace {
-// Fold the overflow lists back into flat CSR once they hold more than
-// this share of all arcs (plus a small absolute slack so tiny graphs
-// never thrash). Keeps interleaved build/query/mutate amortized O(1)
-// per added arc.
-constexpr ArcId kOverflowSlack = 64;
-}  // namespace
-
 void Graph::reserve_nodes(NodeId n) {
   assert(n >= 0);
   supply_.reserve(static_cast<std::size_t>(n));
@@ -26,6 +18,7 @@ void Graph::reserve_arcs(ArcId m) {
 
 NodeId Graph::add_node(std::string name) {
   supply_.push_back(0);
+  adjacency_valid_ = false;
   const NodeId id = num_nodes() - 1;
   if (!name.empty()) set_node_name(id, std::move(name));
   return id;
@@ -35,6 +28,7 @@ NodeId Graph::add_nodes(NodeId n) {
   assert(n >= 0);
   const NodeId first = num_nodes();
   supply_.resize(supply_.size() + static_cast<std::size_t>(n), 0);
+  adjacency_valid_ = false;
   return first;
 }
 
@@ -46,9 +40,8 @@ ArcId Graph::add_arc(NodeId tail, NodeId head, Flow upper, Cost cost,
   arcs_.push_back(Arc{tail, head, lower, upper, cost});
   has_lower_bounds_ = has_lower_bounds_ || lower > 0;
   has_negative_costs_ = has_negative_costs_ || cost < 0;
-  const ArcId a = num_arcs() - 1;
-  if (adjacency_valid_) note_arc_added(a);
-  return a;
+  adjacency_valid_ = false;
+  return num_arcs() - 1;
 }
 
 const std::string& Graph::node_name(NodeId v) const {
@@ -70,26 +63,6 @@ void Graph::set_node_name(NodeId v, std::string name) {
 
 Flow Graph::total_supply() const {
   return std::accumulate(supply_.begin(), supply_.end(), Flow{0});
-}
-
-void Graph::note_arc_added(ArcId a) {
-  ++overflow_arcs_;
-  if (overflow_arcs_ > kOverflowSlack && overflow_arcs_ > num_arcs() / 4) {
-    // Overflow got big; drop the cache and let the next query rebuild.
-    adjacency_valid_ = false;
-    overflow_out_.clear();
-    overflow_in_.clear();
-    overflow_arcs_ = 0;
-    return;
-  }
-  const auto n = static_cast<std::size_t>(num_nodes());
-  if (overflow_out_.size() < n) {
-    overflow_out_.resize(n);
-    overflow_in_.resize(n);
-  }
-  const Arc& arc = arcs_[static_cast<std::size_t>(a)];
-  overflow_out_[static_cast<std::size_t>(arc.tail)].push_back(a);
-  overflow_in_[static_cast<std::size_t>(arc.head)].push_back(a);
 }
 
 void Graph::ensure_adjacency() const {
@@ -121,57 +94,23 @@ void Graph::ensure_adjacency() const {
     in_ids_[static_cast<std::size_t>(
         in_cursor[static_cast<std::size_t>(arc.head)]++)] = a;
   }
-  csr_nodes_ = num_nodes();
-  csr_arcs_ = num_arcs();
-  overflow_out_.clear();
-  overflow_in_.clear();
-  overflow_arcs_ = 0;
   adjacency_valid_ = true;
-}
-
-std::int64_t Graph::footprint_bytes() const {
-  std::int64_t bytes = static_cast<std::int64_t>(
-      arcs_.capacity() * sizeof(Arc) + supply_.capacity() * sizeof(Flow) +
-      (first_out_.capacity() + out_ids_.capacity() + first_in_.capacity() +
-       in_ids_.capacity()) *
-          sizeof(ArcId));
-  for (const std::vector<ArcId>& v : overflow_out_) {
-    bytes += static_cast<std::int64_t>(v.capacity() * sizeof(ArcId));
-  }
-  for (const std::vector<ArcId>& v : overflow_in_) {
-    bytes += static_cast<std::int64_t>(v.capacity() * sizeof(ArcId));
-  }
-  return bytes;
 }
 
 Graph::ArcRange Graph::out_arcs(NodeId v) const {
   assert(v >= 0 && v < num_nodes());
   ensure_adjacency();
   const auto i = static_cast<std::size_t>(v);
-  const ArcId* seg = nullptr;
-  std::size_t seg_size = 0;
-  if (v < csr_nodes_) {
-    seg = out_ids_.data() + first_out_[i];
-    seg_size = static_cast<std::size_t>(first_out_[i + 1] - first_out_[i]);
-  }
-  const std::vector<ArcId>* extra =
-      i < overflow_out_.size() ? &overflow_out_[i] : nullptr;
-  return ArcRange(seg, seg_size, extra);
+  return ArcRange(out_ids_.data() + first_out_[i],
+                  static_cast<std::size_t>(first_out_[i + 1] - first_out_[i]));
 }
 
 Graph::ArcRange Graph::in_arcs(NodeId v) const {
   assert(v >= 0 && v < num_nodes());
   ensure_adjacency();
   const auto i = static_cast<std::size_t>(v);
-  const ArcId* seg = nullptr;
-  std::size_t seg_size = 0;
-  if (v < csr_nodes_) {
-    seg = in_ids_.data() + first_in_[i];
-    seg_size = static_cast<std::size_t>(first_in_[i + 1] - first_in_[i]);
-  }
-  const std::vector<ArcId>* extra =
-      i < overflow_in_.size() ? &overflow_in_[i] : nullptr;
-  return ArcRange(seg, seg_size, extra);
+  return ArcRange(in_ids_.data() + first_in_[i],
+                  static_cast<std::size_t>(first_in_[i + 1] - first_in_[i]));
 }
 
 }  // namespace lera::netflow

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -40,11 +39,9 @@ struct Arc {
 ///
 /// Adjacency is a flat CSR (compressed sparse row) cache built lazily on
 /// first query: `out_ids_[first_out_[v] .. first_out_[v+1])` holds the
-/// outgoing arc ids of `v` in insertion order (same for `in_`). Arcs
-/// added after a build land in small per-node overflow lists, so
-/// interleaved build/query/mutate stays O(degree) per operation instead
-/// of re-running the full O(V+E) rebuild; once enough arcs accumulate in
-/// overflow the next query folds them back into the flat arrays.
+/// outgoing arc ids of `v` in insertion order (same for `in_`). Every
+/// topology change (add_node, add_nodes, add_arc) drops the cache, and
+/// the next query rebuilds it in O(V+E).
 class Graph {
  public:
   Graph() = default;
@@ -122,79 +119,40 @@ class Graph {
   const std::string& node_name(NodeId v) const;
   void set_node_name(NodeId v, std::string name);
 
-  /// Read-only view over a node's adjacency: the CSR segment plus any
-  /// arcs appended since the last rebuild. Indexable and iterable; ids
-  /// appear in arc insertion order.
+  /// Read-only view over a node's adjacency: one contiguous CSR
+  /// segment, ids in arc insertion order. Valid until the next topology
+  /// change.
   class ArcRange {
    public:
-    ArcRange(const ArcId* seg, std::size_t seg_size,
-             const std::vector<ArcId>* extra)
-        : seg_(seg),
-          seg_size_(seg_size),
-          extra_(extra && !extra->empty() ? extra : nullptr) {}
+    ArcRange(const ArcId* first, std::size_t size)
+        : first_(first), size_(size) {}
 
-    std::size_t size() const {
-      return seg_size_ + (extra_ ? extra_->size() : 0);
-    }
-    bool empty() const { return size() == 0; }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
     ArcId operator[](std::size_t i) const {
-      assert(i < size());
-      return i < seg_size_ ? seg_[i] : (*extra_)[i - seg_size_];
+      assert(i < size_);
+      return first_[i];
     }
-
-    class iterator {
-     public:
-      using iterator_category = std::forward_iterator_tag;
-      using value_type = ArcId;
-      using difference_type = std::ptrdiff_t;
-      using pointer = const ArcId*;
-      using reference = ArcId;
-
-      iterator(const ArcRange* r, std::size_t i) : r_(r), i_(i) {}
-      ArcId operator*() const { return (*r_)[i_]; }
-      iterator& operator++() {
-        ++i_;
-        return *this;
-      }
-      iterator operator++(int) {
-        iterator copy = *this;
-        ++i_;
-        return copy;
-      }
-      bool operator==(const iterator& o) const { return i_ == o.i_; }
-      bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-     private:
-      const ArcRange* r_;
-      std::size_t i_;
-    };
-
-    iterator begin() const { return iterator(this, 0); }
-    iterator end() const { return iterator(this, size()); }
+    const ArcId* begin() const { return first_; }
+    const ArcId* end() const { return first_ + size_; }
 
     std::vector<ArcId> to_vector() const {
       return std::vector<ArcId>(begin(), end());
     }
 
    private:
-    const ArcId* seg_;
-    std::size_t seg_size_;
-    const std::vector<ArcId>* extra_;
+    const ArcId* first_;
+    std::size_t size_;
   };
 
   /// Outgoing arc ids of \p v in insertion order (CSR cache, built
-  /// lazily; stays valid across add_arc via per-node overflow lists).
+  /// lazily).
   ArcRange out_arcs(NodeId v) const;
   /// Incoming arc ids of \p v in insertion order (see out_arcs).
   ArcRange in_arcs(NodeId v) const;
 
-  /// Bytes the instance currently retains: arc/supply storage plus the
-  /// CSR adjacency cache (overflow lists counted by capacity).
-  std::int64_t footprint_bytes() const;
-
  private:
   void ensure_adjacency() const;
-  void note_arc_added(ArcId a);
 
   std::vector<Arc> arcs_;
   std::vector<Flow> supply_;
@@ -204,19 +162,12 @@ class Graph {
   bool has_lower_bounds_ = false;
   bool has_negative_costs_ = false;
 
-  // Lazily built CSR adjacency; mutable because it is a cache. Covers
-  // arcs [0, csr_arcs_) over csr_nodes_ nodes; later arcs sit in the
-  // overflow lists until the next fold-in.
+  // Lazily built CSR adjacency; mutable because it is a cache.
   mutable bool adjacency_valid_ = false;
-  mutable NodeId csr_nodes_ = 0;
-  mutable ArcId csr_arcs_ = 0;
   mutable std::vector<ArcId> first_out_;
   mutable std::vector<ArcId> out_ids_;
   mutable std::vector<ArcId> first_in_;
   mutable std::vector<ArcId> in_ids_;
-  mutable std::vector<std::vector<ArcId>> overflow_out_;
-  mutable std::vector<std::vector<ArcId>> overflow_in_;
-  mutable ArcId overflow_arcs_ = 0;
 };
 
 }  // namespace lera::netflow

@@ -71,6 +71,7 @@ InstanceReport validate_instance(const Graph& g) {
 
   Cost worst_case = 0;
   bool worst_case_overflow = false;
+  bool negative_inf_arc = false;
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
     const Arc& arc = g.arc(a);
     // Built only when a finding is reported: every robust solve runs
@@ -93,6 +94,8 @@ InstanceReport validate_instance(const Graph& g) {
       error(label() + " capacity " + std::to_string(arc.upper) +
             " exceeds the safe magnitude kInfFlow");
     }
+    negative_inf_arc = negative_inf_arc ||
+                       (arc.upper == kInfFlow && arc.cost < 0);
     if (arc.cost > kInfCost || arc.cost < -kInfCost) {
       error(label() + " cost " + std::to_string(arc.cost) +
             " exceeds the overflow-safe magnitude kInfCost");
@@ -106,6 +109,24 @@ InstanceReport validate_instance(const Graph& g) {
       worst_case_overflow = true;
     }
   }
+  if (negative_inf_arc && report.ok()) {
+    // A negative-cost cycle of uncapacitated arcs makes the objective
+    // unbounded below. The kInfFlow arcs alone, at zero flow, have
+    // exactly those cycles as their residual negative cycles.
+    Graph uncapacitated(g.num_nodes());
+    for (const Arc& arc : g.arcs()) {
+      if (arc.upper == kInfFlow) {
+        uncapacitated.add_arc(arc.tail, arc.head, arc.upper, arc.cost);
+      }
+    }
+    if (!certify_optimal(uncapacitated,
+                         std::vector<Flow>(static_cast<std::size_t>(
+                                               uncapacitated.num_arcs()),
+                                           0))) {
+      error("unbounded instance: the kInfFlow arcs contain a negative-cost "
+            "cycle");
+    }
+  }
   if (worst_case_overflow) {
     report.warnings.push_back(
         "worst-case |cost|*capacity sum overflows Cost; objective values "
@@ -114,17 +135,20 @@ InstanceReport validate_instance(const Graph& g) {
   return report;
 }
 
+std::vector<SolverKind> fallback_chain(SolverKind primary) {
+  return {primary, SolverKind::kNetworkSimplex,
+          SolverKind::kSuccessiveShortestPaths};
+}
+
 namespace {
 
 std::vector<SolverKind> effective_chain(const Graph& g,
                                         const SolveOptions& options,
                                         SolveDiagnostics& diag,
                                         SolverWorkspace& ws) {
-  std::vector<SolverKind> chain = options.chain;
-  if (chain.empty()) {
-    chain = {SolverKind::kNetworkSimplex,
-             SolverKind::kSuccessiveShortestPaths};
-  }
+  std::vector<SolverKind> chain =
+      options.chain.empty() ? fallback_chain(SolverKind::kNetworkSimplex)
+                            : options.chain;
   // Expand SolverKind::kAuto in place: measure the instance once, ask
   // the shape-based selector for a concrete backend, and record the
   // decision so logs and tests can see why it was made.

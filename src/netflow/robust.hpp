@@ -35,9 +35,9 @@ std::string to_string(CertifyLevel level);
 struct SolveOptions {
   /// Solvers to try, in order, each at most once: an answer that flunks
   /// certification falls through to the next entry, never to a re-run
-  /// of the same deterministic backend. Empty selects the default chain
-  /// network simplex -> successive shortest paths. Cycle canceling is
-  /// the differential oracle and runs only when listed explicitly.
+  /// of the same deterministic backend. Empty selects
+  /// fallback_chain(kNetworkSimplex). Cycle canceling is the
+  /// differential oracle and runs only when listed explicitly.
   /// A SolverKind::kAuto entry is expanded in place by the shape-based
   /// selector (select.hpp) before any attempt runs; the chosen backend
   /// and the driving instance features land in SolveDiagnostics.
@@ -101,8 +101,14 @@ struct InstanceReport {
 
 /// Pre-solve sanity checks: supply balance, bound sanity
 /// (0 <= lower <= upper <= kInfFlow), cost magnitudes within kInfCost,
-/// and an overflow-checked worst-case |cost|*capacity sum.
+/// no negative-cost cycle of kInfFlow arcs (an unbounded instance), and
+/// an overflow-checked worst-case |cost|*capacity sum.
 InstanceReport validate_instance(const Graph& g);
+
+/// The production fallback order: \p primary, then the network simplex,
+/// then successive shortest paths. solve_robust drops the repeats (after
+/// expanding kAuto), so each backend runs at most once.
+std::vector<SolverKind> fallback_chain(SolverKind primary);
 
 /// One solver attempt inside solve_robust, for diagnostics.
 struct SolveAttempt {
@@ -186,8 +192,9 @@ struct SolveDiagnostics {
 FlowSolution solve_robust(const Graph& g, const SolveOptions& options = {},
                           SolveDiagnostics* diagnostics = nullptr);
 
-/// solve_st_flow through the robust path: adds +/-value at s/t on a
-/// copy of \p g and calls solve_robust.
+/// The fixed-value s-t flow of the paper (flow value F = number of
+/// registers R): adds +/-value at s/t on a copy of \p g and calls
+/// solve_robust.
 FlowSolution solve_st_flow_robust(const Graph& g, NodeId s, NodeId t,
                                   Flow value,
                                   const SolveOptions& options = {},

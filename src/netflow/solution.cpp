@@ -169,13 +169,4 @@ FlowSolution solve_impl(const Graph& g, SolverKind kind, SolveGuard* guard,
 
 }  // namespace
 
-FlowSolution solve_st_flow(const Graph& g, NodeId s, NodeId t, Flow value,
-                           SolverKind kind, SolveGuard* guard,
-                           SolverWorkspace* ws) {
-  Graph copy = g;
-  copy.add_supply(s, value);
-  copy.add_supply(t, -value);
-  return solve(copy, kind, guard, ws);
-}
-
 }  // namespace lera::netflow

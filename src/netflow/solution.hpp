@@ -182,12 +182,4 @@ FlowSolution solve(const Graph& g,
                    SolverKind kind = SolverKind::kSuccessiveShortestPaths,
                    SolveGuard* guard = nullptr, SolverWorkspace* ws = nullptr);
 
-/// Convenience wrapper for the classic fixed-value s-t flow problem used
-/// by the paper (flow value F = number of registers R): sets
-/// supply(s)=+F, supply(t)=-F on a copy of \p g and solves it.
-FlowSolution solve_st_flow(const Graph& g, NodeId s, NodeId t, Flow value,
-                           SolverKind kind = SolverKind::kSuccessiveShortestPaths,
-                           SolveGuard* guard = nullptr,
-                           SolverWorkspace* ws = nullptr);
-
 }  // namespace lera::netflow

@@ -158,37 +158,27 @@ MetricsSnapshot ServerMetrics::snapshot() const {
   return s;
 }
 
-void ServerMetrics::emit_metric_lines(std::ostream& os) const {
-  const MetricsSnapshot s = snapshot();
-  os << "LERA_METRIC server_frames_received " << s.frames_received << "\n"
-     << "LERA_METRIC server_solve_requests " << s.solve_requests << "\n"
-     << "LERA_METRIC server_served " << s.served << "\n"
-     << "LERA_METRIC server_degraded " << s.degraded << "\n"
-     << "LERA_METRIC server_infeasible " << s.infeasible << "\n"
-     << "LERA_METRIC server_timed_out " << s.timed_out << "\n"
-     << "LERA_METRIC server_cancelled " << s.cancelled << "\n"
-     << "LERA_METRIC server_rejected_total " << s.rejected_total << "\n";
+void MetricsSnapshot::emit_metric_lines(std::ostream& os) const {
+  os << "LERA_METRIC server_frames_received " << frames_received << "\n"
+     << "LERA_METRIC server_solve_requests " << solve_requests << "\n"
+     << "LERA_METRIC server_served " << served << "\n"
+     << "LERA_METRIC server_degraded " << degraded << "\n"
+     << "LERA_METRIC server_infeasible " << infeasible << "\n"
+     << "LERA_METRIC server_timed_out " << timed_out << "\n"
+     << "LERA_METRIC server_cancelled " << cancelled << "\n"
+     << "LERA_METRIC server_rejected_total " << rejected_total << "\n";
   for (int i = 0; i < kNumRejectReasons; ++i) {
     os << "LERA_METRIC server_rejected_"
        << to_string(static_cast<RejectReason>(i)) << " "
-       << s.rejected_by_reason[static_cast<std::size_t>(i)] << "\n";
+       << rejected_by_reason[static_cast<std::size_t>(i)] << "\n";
   }
-  os << "LERA_METRIC server_latency_p50_ms " << s.latency.p50_ms << "\n"
-     << "LERA_METRIC server_latency_p95_ms " << s.latency.p95_ms << "\n"
-     << "LERA_METRIC server_latency_p99_ms " << s.latency.p99_ms << "\n"
-     << "LERA_METRIC server_queue_wait_p95_ms " << s.queue_wait.p95_ms
+  os << "LERA_METRIC server_latency_p50_ms " << latency.p50_ms << "\n"
+     << "LERA_METRIC server_latency_p95_ms " << latency.p95_ms << "\n"
+     << "LERA_METRIC server_latency_p99_ms " << latency.p99_ms << "\n"
+     << "LERA_METRIC server_queue_wait_p95_ms " << queue_wait.p95_ms
      << "\n"
-     << "LERA_METRIC server_watchdog_tripped "
-     << (s.watchdog_tripped ? 1 : 0) << "\n";
-  if (cache_enabled_) {
-    // Gated on the cache being configured so cache-off STATS output is
-    // byte-identical to the pre-cache server.
-    os << "LERA_METRIC server_cache_hits " << s.cache_hits << "\n"
-       << "LERA_METRIC server_cache_hit_p50_ms "
-       << s.cache_hit_latency.p50_ms << "\n"
-       << "LERA_METRIC server_cache_hit_p99_ms "
-       << s.cache_hit_latency.p99_ms << "\n";
-  }
+     << "LERA_METRIC server_watchdog_tripped " << (watchdog_tripped ? 1 : 0)
+     << "\n";
 }
 
 }  // namespace lera::server

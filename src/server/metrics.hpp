@@ -95,6 +95,11 @@ struct MetricsSnapshot {
     return served + degraded + infeasible + timed_out + cancelled +
            cache_hits;
   }
+  /// One "LERA_METRIC server_<name> <value>" line per counter/quantile.
+  /// The cache-hit fields are left to the Server, which alone knows
+  /// whether a cache is configured.
+  void emit_metric_lines(std::ostream& os) const;
+
   /// Every SOLVE frame must land here exactly once.
   std::int64_t accounted_requests() const {
     // Framing-level rejects (bad_frame / frame_too_large) never became
@@ -133,15 +138,7 @@ class ServerMetrics {
     return tripped_.load(std::memory_order_acquire);
   }
 
-  /// Marks the cache as configured: emit_metric_lines adds the cache_*
-  /// fields. Off by default so cache-off output stays
-  /// byte-identical to the pre-cache server. Set before serving.
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-
   MetricsSnapshot snapshot() const;
-
-  /// One "LERA_METRIC server_<name> <value>" line per counter/quantile.
-  void emit_metric_lines(std::ostream& os) const;
 
  private:
   void update_watchdog();
@@ -160,7 +157,6 @@ class ServerMetrics {
   LatencyWindow queue_wait_;
   LatencyWindow cache_hit_latency_;
   std::atomic<bool> tripped_{false};
-  bool cache_enabled_ = false;
 };
 
 }  // namespace lera::server

@@ -229,7 +229,6 @@ Server::Server(ServerOptions options) : options_(std::move(options)),
         cache_opts, engine_->memory_budget().child(0));
     text_front_ = std::make_unique<TextFront>(cache_opts.max_entries,
                                               cache_opts.audit_rate);
-    metrics_.set_cache_enabled(true);
   }
   if (options_.isolation.workers > 0) {
     // Workers inherit the server's engine configuration and response
@@ -745,7 +744,17 @@ void Server::serve(ByteStream& stream) {
 }
 
 void Server::emit_metric_lines(std::ostream& os) const {
-  metrics_.emit_metric_lines(os);
+  // Every server_cache_* line is gated on cache_, so cache-off output is
+  // byte-identical to the pre-cache server.
+  const MetricsSnapshot s = metrics_.snapshot();
+  s.emit_metric_lines(os);
+  if (cache_ != nullptr) {
+    os << "LERA_METRIC server_cache_hits " << s.cache_hits << "\n"
+       << "LERA_METRIC server_cache_hit_p50_ms "
+       << s.cache_hit_latency.p50_ms << "\n"
+       << "LERA_METRIC server_cache_hit_p99_ms "
+       << s.cache_hit_latency.p99_ms << "\n";
+  }
   const netflow::MemoryBudget budget = engine_->memory_budget();
   os << "LERA_METRIC server_memory_bytes_in_use " << budget.used() << "\n"
      << "LERA_METRIC server_memory_peak_bytes " << budget.peak() << "\n"

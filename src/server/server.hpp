@@ -129,9 +129,10 @@ class Server {
   HealthStatus health() const;
   MetricsSnapshot metrics() const { return metrics_.snapshot(); }
   /// The LERA_METRIC block a STATS reply, a drained connection's trailer
-  /// and lera_server's exit log all carry: the ServerMetrics lines, the
-  /// engine memory budget, then the worker and cache lines when those
-  /// are configured.
+  /// and lera_server's exit log all carry: the MetricsSnapshot lines,
+  /// the cache-hit lines, the engine memory budget, then the worker and
+  /// the other cache lines. Worker lines need isolation, and every cache
+  /// line needs a configured cache.
   void emit_metric_lines(std::ostream& os) const;
 
   const engine::Engine& engine() const { return *engine_; }

@@ -3,6 +3,7 @@
 #include "alloc/allocator.hpp"
 #include "alloc/memory_layout.hpp"
 #include "alloc/two_phase.hpp"
+#include "netflow/fault_injection.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_gen.hpp"
 
@@ -170,6 +171,35 @@ TEST(MemoryLayout, OptimizedNeverWorseThanNaive) {
     for (std::size_t s = 0; s < p.segments.size(); ++s) {
       EXPECT_EQ(layout.address[s] >= 0, !r.assignment.in_register(s));
     }
+  }
+}
+
+// The relayout flow runs through the robust chain: an allocation failure
+// in its first backend hands the flow to the next one, and the layout
+// comes out as if nothing had failed.
+TEST(MemoryLayout, InjectedOomFallsBackToTheNextBackend) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    workloads::RandomLifetimeOptions lopts;
+    lopts.num_vars = 12;
+    energy::EnergyParams params;
+    const AllocationProblem p = make_problem(
+        workloads::random_lifetimes(seed, lopts), lopts.num_steps, 3,
+        params, workloads::random_activity(seed, 12));
+    const AllocationResult r = allocate(p);
+    ASSERT_TRUE(r.feasible);
+    const MemoryLayout clean = optimize_memory_layout(p, r.assignment);
+    ASSERT_TRUE(clean.feasible);
+
+    netflow::OomFailpoint::Options fp_opts;
+    fp_opts.fail_at_site = 1;  // The flow's first allocation.
+    netflow::OomFailpoint fp(fp_opts);
+    const MemoryLayout layout = optimize_memory_layout(p, r.assignment);
+    EXPECT_EQ(fp.failures_injected(), 1) << "seed " << seed;
+    ASSERT_TRUE(layout.feasible) << "seed " << seed;
+    EXPECT_EQ(layout.locations, clean.locations) << "seed " << seed;
+    // Another backend may return another optimum of the same cost.
+    EXPECT_NEAR(layout.optimized_activity, clean.optimized_activity, 1e-6)
+        << "seed " << seed;
   }
 }
 

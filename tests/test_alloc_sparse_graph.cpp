@@ -318,11 +318,13 @@ TEST(SparseGraph, NoOptimumSpillsAndReloadsAtOneCut) {
         }
       }
       for (int r = 1; r <= peak; ++r) {
+        netflow::Graph g = spec.graph;
+        g.add_supply(spec.s, r);
+        g.add_supply(spec.t, -r);
         for (netflow::SolverKind kind :
              {netflow::SolverKind::kSuccessiveShortestPaths,
               netflow::SolverKind::kNetworkSimplex}) {
-          const netflow::FlowSolution sol =
-              netflow::solve_st_flow(spec.graph, spec.s, spec.t, r, kind);
+          const netflow::FlowSolution sol = netflow::solve(g, kind);
           if (!sol.optimal()) continue;
           for (std::size_t v = 0; v < enter.size(); ++v) {
             if (enter[v] == netflow::kInvalidArc) continue;
@@ -446,8 +448,8 @@ TEST(SparseGraph, UnitWalkMatchesTheChainWalkOnDenseGraphs) {
     p.num_registers = 1 + static_cast<int>(seed % 4);
     const FlowGraphSpec spec =
         build_dense_flow_graph(p, GraphStyle::kDensityRegions);
-    const netflow::FlowSolution sol =
-        netflow::solve_st_flow(spec.graph, spec.s, spec.t, p.num_registers);
+    const netflow::FlowSolution sol = netflow::solve_st_flow_robust(
+        spec.graph, spec.s, spec.t, p.num_registers);
     if (!sol.optimal()) continue;
     const Assignment walked = assignment_from_flow(p, spec, sol.arc_flow);
     const Assignment reference = chain_walk(p, spec, sol.arc_flow);

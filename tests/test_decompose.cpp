@@ -115,7 +115,7 @@ TEST(Decompose, AllocationFlowsAreRegisterChains) {
   const alloc::FlowGraphSpec spec =
       alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
   const FlowSolution sol =
-      solve_st_flow(spec.graph, spec.s, spec.t, p.num_registers);
+      solve_st_flow_robust(spec.graph, spec.s, spec.t, p.num_registers);
   ASSERT_TRUE(sol.optimal());
   const auto comps = decompose_flow(spec.graph, sol.arc_flow);
   expect_recomposition(spec.graph, sol.arc_flow, comps);

@@ -385,6 +385,27 @@ TEST(Engine, AuditFindingsPropagateThroughRunWithoutTeardown) {
   EXPECT_EQ(with_findings, report.tasks_with_audit_findings);
 }
 
+TEST(Engine, ExploreCandidatesCarryTheirAuditVerdict) {
+  EngineOptions opts;
+  opts.threads = 4;
+  opts.audit_level = audit::AuditLevel::kFullCost;
+  opts.audit_ports = alloc::PortLimits{};
+  opts.audit_ports->mem_read_ports = 0;
+  opts.audit_ports->mem_write_ports = 0;
+  opts.audit_ports->reg_read_ports = 0;
+  opts.audit_ports->reg_write_ports = 0;
+
+  const ExploreResult explored =
+      Engine(opts).explore(workloads::make_elliptic_wave_filter());
+  ASSERT_GE(explored.best, 0);
+  for (const ScheduleCandidate& c : explored.candidates) {
+    if (!c.feasible) continue;
+    EXPECT_TRUE(c.audit.audited) << c.label;
+    EXPECT_TRUE(c.audit.has(audit::FindingKind::kPortOverload))
+        << c.label << ": " << c.audit.summary();
+  }
+}
+
 TEST(Engine, AllocateBatchAuditsEveryResultWithoutTeardown) {
   EngineOptions opts;
   opts.threads = 4;
@@ -950,7 +971,8 @@ TEST(Engine, EveryEntryPointSolvesUnderTheSameCapAndAudit) {
     expect_refused(tickets[i], "ticket " + std::to_string(i));
   }
 
-  // explore() keeps only energies, so its refusals show in the stats.
+  // explore() keeps energies and audits, not results, so its refusals
+  // show in the stats.
   const std::int64_t refused_before = engine.stats().solves_memory_exceeded;
   const ExploreResult explored = engine.explore(workloads::make_fir(6));
   EXPECT_EQ(engine.stats().solves_memory_exceeded - refused_before,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc/hierarchy.hpp"
+#include "netflow/fault_injection.hpp"
 #include "sched/schedule.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/random_gen.hpp"
@@ -108,6 +109,41 @@ TEST(Hierarchy, EnergyMonotoneInCapacity) {
     ASSERT_TRUE(r.feasible) << r.message;
     EXPECT_LE(r.total_static_energy, prev + 1e-9) << "capacity " << capacity;
     prev = r.total_static_energy;
+  }
+}
+
+// Stage 2 runs through the robust chain: an allocation failure at its
+// flow's first allocation hands the flow to the next backend, and the
+// split comes out as if nothing had failed.
+TEST(Hierarchy, Stage2InjectedOomFallsBackToTheNextBackend) {
+  const ir::BasicBlock bb = workloads::make_rsp(4);
+  const sched::Schedule s = sched::list_schedule(bb, {2, 2});
+  energy::EnergyParams params;
+  params.register_model = energy::RegisterModel::kActivity;
+  const AllocationProblem p = make_problem_from_block(bb, s, 4, params);
+  // Stage 1 is allocate(): count its allocation sites, so the failpoint
+  // can skip them and hit stage 2's first.
+  std::int64_t stage1_sites = 0;
+  {
+    const netflow::OomFailpoint dry({});
+    ASSERT_TRUE(allocate(p).feasible);
+    stage1_sites = dry.sites_seen();
+  }
+  for (int capacity : {1, 2, 4, 8}) {
+    HierarchyParams h;
+    h.onchip_capacity = capacity;
+    const HierarchicalResult clean = allocate_hierarchical(p, h);
+    ASSERT_TRUE(clean.feasible) << clean.message;
+
+    netflow::OomFailpoint::Options fp_opts;
+    fp_opts.fail_at_site = stage1_sites + 1;
+    netflow::OomFailpoint fp(fp_opts);
+    const HierarchicalResult r = allocate_hierarchical(p, h);
+    EXPECT_EQ(fp.failures_injected(), 1) << "capacity " << capacity;
+    ASSERT_TRUE(r.feasible) << "capacity " << capacity << ": " << r.message;
+    // Another backend may return another optimum of the same cost.
+    EXPECT_NEAR(r.total_static_energy, clean.total_static_energy, 1e-6)
+        << "capacity " << capacity;
   }
 }
 

@@ -243,8 +243,8 @@ TEST(CsrAdjacency, MatchesHandBuiltLists) {
 
 TEST(CsrAdjacency, IncrementalAdditionsMatchFreshRebuild) {
   // Build, force the CSR cache, then keep mutating: every add must be
-  // visible without invalidating unrelated nodes, and the result must
-  // equal a from-scratch graph's adjacency.
+  // visible at the next query, and the result must equal a from-scratch
+  // graph's adjacency.
   const Graph base = workloads::random_flow_problem(7, options_for(7));
   Graph g = base;
   (void)g.out_arcs(0);  // Materialise the CSR cache.
@@ -262,8 +262,8 @@ TEST(CsrAdjacency, IncrementalAdditionsMatchFreshRebuild) {
       fresh.add_arc(fv, 0, 2, 1);
     }
     if (i % 17 == 0) {
-      // Interleave reads so the overflow path (not just the rebuild
-      // path) is exercised.
+      // Interleave reads so queries between additions rebuild the
+      // cache, not just the first one.
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         ASSERT_EQ(g.out_arcs(v).to_vector(), fresh.out_arcs(v).to_vector())
             << "iteration " << i << " node " << v;

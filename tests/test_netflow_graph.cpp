@@ -75,7 +75,7 @@ TEST(Graph, AdjacencyLists) {
   EXPECT_EQ(g.out_arcs(0)[1], a02);
 
   // Nodes added after the adjacency is built start with no arcs, and
-  // arcs touching them are visible without a full rebuild.
+  // arcs touching them are visible at the next query.
   const NodeId v3 = g.add_nodes(1);
   EXPECT_TRUE(g.out_arcs(v3).empty());
   const ArcId a30 = g.add_arc(v3, 0, 1, 0);

@@ -166,14 +166,23 @@ TEST(SolveRobust, SimplexRefusesAnOverflowingBigMAndTheChainFallsBack) {
 
 // A negative cycle of kInfFlow arcs: its pivot's only blocking arc is
 // the entering arc at its full kInfFlow capacity, which the simplex
-// pushes as SSP does (once a debug-build assert). Both reach the same
-// certified optimum.
+// pushes as SSP does (once a debug-build assert). Both bare backends
+// reach the same flow, but the instance is unbounded, so solve_robust
+// refuses it before any backend runs.
 TEST(SolveRobust, SimplexSaturatesANegativeCycleOfInfFlowArcsLikeSsp) {
   Graph g(3);
   g.add_arc(0, 1, kInfFlow, -1);
   g.add_arc(1, 2, kInfFlow, -1);
   g.add_arc(2, 0, kInfFlow, -1);
-  ASSERT_TRUE(validate_instance(g).ok());
+  const InstanceReport report = validate_instance(g);
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_NE(report.errors.front().find("unbounded"), std::string::npos);
+  SolveDiagnostics diag;
+  const FlowSolution robust = solve_robust(g, {}, &diag);
+  EXPECT_EQ(robust.status, SolveStatus::kBadInstance);
+  EXPECT_EQ(robust.message, report.errors.front());
+  EXPECT_TRUE(diag.attempts.empty());
+
   const FlowSolution simplex = solve(g, SolverKind::kNetworkSimplex);
   const FlowSolution ssp = solve(g, SolverKind::kSuccessiveShortestPaths);
   ASSERT_TRUE(simplex.optimal());
@@ -181,6 +190,22 @@ TEST(SolveRobust, SimplexSaturatesANegativeCycleOfInfFlowArcsLikeSsp) {
   EXPECT_EQ(simplex.cost, -3 * kInfFlow);
   EXPECT_EQ(simplex.cost, ssp.cost);
   EXPECT_TRUE(certify_optimal(g, simplex.arc_flow));
+}
+
+// The same cycle with one finite arc is bounded: the check looks only
+// at the kInfFlow arcs, and the cycle saturates at the finite capacity.
+TEST(SolveRobust, NegativeCycleThroughAFiniteArcIsBoundedAndSolves) {
+  Graph g(3);
+  g.add_arc(0, 1, kInfFlow, -1);
+  g.add_arc(1, 2, kInfFlow, -1);
+  g.add_arc(2, 0, 5, -1);
+  EXPECT_TRUE(validate_instance(g).ok());
+  SolveDiagnostics diag;
+  const FlowSolution sol = solve_robust(g, {}, &diag);
+  ASSERT_TRUE(sol.optimal()) << diag.summary();
+  EXPECT_EQ(sol.cost, -15);
+  EXPECT_EQ(sol.arc_flow, (std::vector<Flow>{5, 5, 5}));
+  EXPECT_EQ(diag.certification, CertificationVerdict::kPassed);
 }
 
 TEST(SolveRobust, IterationBudgetSurfacesAsBudgetExceeded) {
@@ -236,7 +261,10 @@ TEST(SolveRobust, StFlowVariantMatchesPlainStFlow) {
   g.add_arc(2, 3, 2, 4);
   SolveDiagnostics diag;
   const FlowSolution robust = solve_st_flow_robust(g, 0, 3, 2, {}, &diag);
-  const FlowSolution plain = solve_st_flow(g, 0, 3, 2);
+  Graph supplied = g;
+  supplied.add_supply(0, 2);
+  supplied.add_supply(3, -2);
+  const FlowSolution plain = solve(supplied);
   ASSERT_TRUE(robust.optimal());
   ASSERT_TRUE(plain.optimal());
   EXPECT_EQ(robust.cost, plain.cost);

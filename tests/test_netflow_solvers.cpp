@@ -151,7 +151,9 @@ TEST_P(SolverTest, StFlowWrapper) {
   Graph g(3);
   g.add_arc(0, 1, 5, 2);
   g.add_arc(1, 2, 5, 2);
-  const FlowSolution sol = solve_st_flow(g, 0, 2, 3, GetParam());
+  SolveOptions options;
+  options.chain = {GetParam()};
+  const FlowSolution sol = solve_st_flow_robust(g, 0, 2, 3, options);
   ASSERT_TRUE(sol.optimal());
   EXPECT_EQ(sol.cost, 12);
   // The wrapper must not mutate the caller's graph.

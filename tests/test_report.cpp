@@ -95,7 +95,7 @@ TEST(Dot, HighlightsFlow) {
   const alloc::AllocationProblem p = workloads::figure3_problem();
   const alloc::FlowGraphSpec spec =
       alloc::build_flow_graph(p, alloc::GraphStyle::kDensityRegions);
-  const netflow::FlowSolution sol = netflow::solve_st_flow(
+  const netflow::FlowSolution sol = netflow::solve_st_flow_robust(
       spec.graph, spec.s, spec.t, p.num_registers);
   ASSERT_TRUE(sol.optimal());
   std::ostringstream os;

@@ -675,6 +675,10 @@ TEST(ServerCache, HealthAndStatsExposeCacheFieldsOnlyWhenEnabled) {
             std::string::npos) << on;
   EXPECT_NE(on.find("LERA_METRIC server_cache_text_hits"),
             std::string::npos) << on;
+  EXPECT_NE(on.find("LERA_METRIC server_cache_hits "), std::string::npos)
+      << on;
+  EXPECT_NE(on.find("LERA_METRIC server_cache_hit_p50_ms "),
+            std::string::npos) << on;
   EXPECT_NE(on.find("LERA_STATS_END s1"), std::string::npos) << on;
 
   Server off(deterministic_options());
@@ -684,6 +688,10 @@ TEST(ServerCache, HealthAndStatsExposeCacheFieldsOnlyWhenEnabled) {
   EXPECT_NE(off_transcript.find("LERA_STATS_END s"), std::string::npos);
   EXPECT_EQ(off_transcript.find("server_cache_"), std::string::npos)
       << off_transcript;
+  EXPECT_EQ(off_transcript.find("server_cache_hits"), std::string::npos)
+      << off_transcript;
+  EXPECT_EQ(off_transcript.find("server_cache_hit_p50_ms"),
+            std::string::npos) << off_transcript;
   EXPECT_EQ(off_transcript.find("cache_hits="), std::string::npos)
       << off_transcript;
 }
