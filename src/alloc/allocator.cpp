@@ -9,11 +9,10 @@
 namespace lera::alloc {
 
 void finish_result(const AllocationProblem& p, AllocationResult& result) {
-  result.stats = count_accesses(p, result.assignment);
-  result.static_energy =
-      evaluate_energy(p, result.assignment, energy::RegisterModel::kStatic);
-  result.activity_energy =
-      evaluate_energy(p, result.assignment, energy::RegisterModel::kActivity);
+  const Evaluation ev = evaluate(p, result.assignment);
+  result.stats = ev.stats;
+  result.static_energy = ev.static_energy;
+  result.activity_energy = ev.activity_energy;
   result.registers_used = result.assignment.registers_used();
 }
 

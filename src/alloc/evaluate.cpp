@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,85 @@ namespace {
 
 using lifetime::CutKind;
 using lifetime::Segment;
+
+/// One walk over \p events, sorted by step: the access counts and port
+/// peaks into \p stats, and each register model's energy into \p
+/// static_energy and \p activity_energy, each skipped when null. Every
+/// sum takes the events in order, so a part comes out the same, bit for
+/// bit, whichever others are asked for.
+void replay(const AllocationProblem& p,
+            const std::vector<StorageEvent>& events, AccessStats* stats,
+            EnergyBreakdown* static_energy,
+            EnergyBreakdown* activity_energy) {
+  const energy::EnergyParams& e = p.params;
+  // The activity model's register occupants: the variable each register
+  // holds, -1 until its first write.
+  std::vector<int> occupant;
+  if (activity_energy != nullptr) {
+    int registers = 0;
+    for (const StorageEvent& ev : events) {
+      registers = std::max(registers, ev.reg + 1);
+    }
+    occupant.assign(static_cast<std::size_t>(registers), -1);
+  }
+  // Traffic per channel (memory read, memory write, register read,
+  // register write): this step's, the total, and the busiest step's.
+  std::array<int, 4> step_traffic{};
+  std::array<int, 4> total{};
+  std::array<int, 4> peak{};
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const StorageEvent& ev = events[k];
+    switch (ev.type) {
+      case EventType::kMemRead:
+        for (EnergyBreakdown* out : {static_energy, activity_energy}) {
+          if (out != nullptr) out->memory += e.e_mem_read();
+        }
+        break;
+      case EventType::kMemWrite:
+        for (EnergyBreakdown* out : {static_energy, activity_energy}) {
+          if (out != nullptr) out->memory += e.e_mem_write();
+        }
+        break;
+      case EventType::kRegRead:
+        if (static_energy != nullptr) {
+          static_energy->register_file += e.e_reg_read();
+        }
+        break;
+      case EventType::kRegWrite:
+        if (static_energy != nullptr) {
+          static_energy->register_file += e.e_reg_write();
+        }
+        if (activity_energy != nullptr) {
+          int& held = occupant[static_cast<std::size_t>(ev.reg)];
+          const double h =
+              held < 0 ? p.activity.initial(static_cast<std::size_t>(ev.var))
+                       : p.activity.hamming(static_cast<std::size_t>(held),
+                                            static_cast<std::size_t>(ev.var));
+          activity_energy->register_file += e.e_reg_transition(h);
+          held = ev.var;
+        }
+        break;
+    }
+    ++step_traffic[static_cast<std::size_t>(ev.type)];
+    if (k + 1 == events.size() || events[k + 1].step != ev.step) {
+      for (std::size_t c = 0; c < step_traffic.size(); ++c) {
+        total[c] += step_traffic[c];
+        peak[c] = std::max(peak[c], step_traffic[c]);
+      }
+      step_traffic = {};
+    }
+  }
+  if (stats != nullptr) {
+    stats->mem_reads = total[0];
+    stats->mem_writes = total[1];
+    stats->reg_reads = total[2];
+    stats->reg_writes = total[3];
+    stats->mem_read_ports = peak[0];
+    stats->mem_write_ports = peak[1];
+    stats->reg_read_ports = peak[2];
+    stats->reg_write_ports = peak[3];
+  }
+}
 
 }  // namespace
 
@@ -103,36 +181,8 @@ std::vector<StorageEvent> enumerate_events(const AllocationProblem& p,
 }
 
 AccessStats count_accesses(const AllocationProblem& p, const Assignment& a) {
-  const std::vector<StorageEvent> events = enumerate_events(p, a);
   AccessStats stats;
-  std::map<int, std::array<int, 4>> per_step;
-  for (const StorageEvent& ev : events) {
-    auto& bucket = per_step[ev.step];
-    switch (ev.type) {
-      case EventType::kMemRead:
-        ++stats.mem_reads;
-        ++bucket[0];
-        break;
-      case EventType::kMemWrite:
-        ++stats.mem_writes;
-        ++bucket[1];
-        break;
-      case EventType::kRegRead:
-        ++stats.reg_reads;
-        ++bucket[2];
-        break;
-      case EventType::kRegWrite:
-        ++stats.reg_writes;
-        ++bucket[3];
-        break;
-    }
-  }
-  for (const auto& [step, bucket] : per_step) {
-    stats.mem_read_ports = std::max(stats.mem_read_ports, bucket[0]);
-    stats.mem_write_ports = std::max(stats.mem_write_ports, bucket[1]);
-    stats.reg_read_ports = std::max(stats.reg_read_ports, bucket[2]);
-    stats.reg_write_ports = std::max(stats.reg_write_ports, bucket[3]);
-  }
+  replay(p, enumerate_events(p, a), &stats, nullptr, nullptr);
   stats.mem_locations = memory_locations(p, a);
   return stats;
 }
@@ -140,43 +190,18 @@ AccessStats count_accesses(const AllocationProblem& p, const Assignment& a) {
 EnergyBreakdown evaluate_energy(const AllocationProblem& p,
                                 const Assignment& a,
                                 energy::RegisterModel model) {
-  const energy::EnergyParams& e = p.params;
-  const std::vector<StorageEvent> events = enumerate_events(p, a);
-
   EnergyBreakdown out;
-  // Register-occupant tracking for the activity model. Events are sorted
-  // by step; at most one write per register per step (exclusivity).
-  std::map<int, int> occupant;  // register -> variable currently held
-  for (const StorageEvent& ev : events) {
-    switch (ev.type) {
-      case EventType::kMemRead:
-        out.memory += e.e_mem_read();
-        break;
-      case EventType::kMemWrite:
-        out.memory += e.e_mem_write();
-        break;
-      case EventType::kRegRead:
-        if (model == energy::RegisterModel::kStatic) {
-          out.register_file += e.e_reg_read();
-        }
-        break;
-      case EventType::kRegWrite:
-        if (model == energy::RegisterModel::kStatic) {
-          out.register_file += e.e_reg_write();
-        } else {
-          const auto it = occupant.find(ev.reg);
-          const double h =
-              it == occupant.end()
-                  ? p.activity.initial(static_cast<std::size_t>(ev.var))
-                  : p.activity.hamming(
-                        static_cast<std::size_t>(it->second),
-                        static_cast<std::size_t>(ev.var));
-          out.register_file += e.e_reg_transition(h);
-        }
-        occupant[ev.reg] = ev.var;
-        break;
-    }
-  }
+  const bool static_model = model == energy::RegisterModel::kStatic;
+  replay(p, enumerate_events(p, a), nullptr, static_model ? &out : nullptr,
+         static_model ? nullptr : &out);
+  return out;
+}
+
+Evaluation evaluate(const AllocationProblem& p, const Assignment& a) {
+  Evaluation out;
+  replay(p, enumerate_events(p, a), &out.stats, &out.static_energy,
+         &out.activity_energy);
+  out.stats.mem_locations = memory_locations(p, a);
   return out;
 }
 

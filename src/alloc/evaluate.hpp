@@ -76,6 +76,16 @@ EnergyBreakdown evaluate_energy(const AllocationProblem& p,
                                 const Assignment& a,
                                 energy::RegisterModel model);
 
+/// count_accesses and evaluate_energy under both register models, from
+/// one enumeration of the events and one walk over them; equal, bit for
+/// bit, to the separate calls.
+struct Evaluation {
+  AccessStats stats;
+  EnergyBreakdown static_energy;
+  EnergyBreakdown activity_energy;
+};
+Evaluation evaluate(const AllocationProblem& p, const Assignment& a);
+
 /// Peak number of simultaneously memory-resident variables.
 int memory_locations(const AllocationProblem& p, const Assignment& a);
 

@@ -32,20 +32,33 @@ FlowSolution run_cycle_canceling(const Graph& g, SolveGuard* guard,
 
 /// Primal network simplex on Király–Kovács spanning-tree arrays (parent,
 /// pred, thread, succ_num, last_succ), strongly feasible pivoting and a
-/// candidate-list pivot rule. It starts from an artificial root with
-/// zero-cost arcs from the non-deficit nodes, big-M arcs to the deficit
-/// nodes, and the negative arcs saturated when simplex_saturated_start
-/// says so. Refuses with kBadInstance when big-M would leave kInfCost.
+/// candidate-list pivot rule. Where the negative-cost arcs chain and the
+/// instance has one source and one sink, it starts from a greedy path
+/// packing, a feasible flow whose free arcs form the start tree;
+/// otherwise, or when the packing gets stuck or its free arcs close a
+/// cycle, from an artificial root with zero-cost arcs from the
+/// non-deficit nodes, big-M arcs to the deficit nodes, and the negative
+/// arcs saturated when they chain. Refuses with kBadInstance when big-M
+/// would leave kInfCost.
 FlowSolution run_network_simplex(const Graph& g, SolveGuard* guard,
                                  SolverWorkspace& ws);
 
-/// The simplex's start test. Saturating every finite-capacity
-/// negative-cost arc turns the supplies b into balances b' at the price
-/// of U, those arcs' total capacity; it is kept when sum|b'| - sum|b| <=
-/// U, that is when at least half of the imbalance it could create
-/// cancels out. Writes the start balances (b' when kept, b otherwise)
-/// into \p balance and returns whether any arc starts saturated.
-bool simplex_saturated_start(const Graph& g, std::vector<Flow>& balance);
+/// The simplex's three starts.
+enum class SimplexStart {
+  /// Every real arc at zero; the supplies ride the artificial arcs.
+  kArtificial,
+  /// Every finite-capacity negative-cost arc at its capacity, the
+  /// remaining imbalance on the artificial arcs.
+  kSaturated,
+  /// A greedy path packing: a feasible flow, no artificial arc carries
+  /// any, and the arcs strictly between their bounds form the tree.
+  kPacked,
+};
+
+/// Test hook: the start run_network_simplex takes on \p g (an instance
+/// without lower bounds), built in \p ws without pivoting. An instance
+/// the simplex refuses reads kArtificial.
+SimplexStart simplex_start(const Graph& g, SolverWorkspace& ws);
 
 /// Test hook: run_network_simplex that checks the spanning tree at the
 /// start and after every pivot. The thread must be a preorder of the
@@ -55,6 +68,16 @@ bool simplex_saturated_start(const Graph& g, std::vector<Flow>& balance);
 /// every tree held; \p sol receives the solve's answer.
 std::string check_simplex_tree(const Graph& g, SolverWorkspace& ws,
                                FlowSolution& sol);
+
+/// Depth-first reverse postorder of \p g's nodes over its arcs with
+/// positive capacity, searching from every unvisited node in id order;
+/// \p cursor and \p stack are the search's scratch. Returns whether the
+/// search met no back arc, in which case the order is topological. SSP's
+/// start potentials relax in this order and the simplex's path packing
+/// routes along it.
+bool dfs_reverse_postorder(const Graph& g, std::vector<int>& cursor,
+                           std::vector<NodeId>& stack,
+                           std::vector<NodeId>& order);
 
 /// Drains every positive excess in \p res to a deficit node via
 /// successive shortest augmenting paths over reduced costs. Shared by

@@ -22,7 +22,8 @@ namespace {
 ///   Graph CSR     m out ids + m in ids + 2(n+1) offsets
 ///   SSP           NodeState/pi/excess per node, heap bounded by 2m
 ///   simplex       SoA arrays over m+n arcs (artificial root arcs
-///                 included) + 10 per-node arrays over n+1 nodes
+///                 included) + 10 per-node arrays over n+1 nodes + the
+///                 packing start's forward-arc list and 4 node arrays
 ///   cycle cancel  its own augmented residual (m+n arcs) + BF arrays
 constexpr std::int64_t kSlack = 4096;  ///< vectors round up; keep a floor
 
@@ -49,10 +50,13 @@ std::int64_t ssp_bytes(std::int64_t n, std::int64_t m) {
 }
 
 std::int64_t simplex_bytes(std::int64_t n, std::int64_t m) {
-  // One artificial arc per node and one artificial root; the candidate
-  // list (max(16, sqrt(m + n) / 4) arc ids) sits in kSlack.
+  // One artificial arc per node and one artificial root, plus what the
+  // path-packing start adds; the candidate list (max(16, sqrt(m + n) /
+  // 4) arc ids) sits in kSlack.
   return (m + n) * SimplexScratch::kArcBytes +
-         (n + 1) * SimplexScratch::kNodeBytes;
+         (n + 1) * SimplexScratch::kNodeBytes +
+         m * SimplexScratch::kPackArcBytes +
+         n * SimplexScratch::kPackNodeBytes;
 }
 
 std::int64_t cycle_cancel_bytes(std::int64_t n, std::int64_t m) {

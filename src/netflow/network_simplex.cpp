@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,27 +24,45 @@
 /// then shift along the thread by the one constant that makes the
 /// entering arc tight; the tree arcs inside it do not change.
 ///
-/// Start. An artificial root joins every node. A node whose start
-/// balance is >= 0 hangs from it on a zero-cost arc carrying the balance
-/// up; only a deficit node hangs on a big-M arc carrying its demand down.
-/// That tree is strongly feasible, and big-M, max |cost| * (nodes + 2) +
-/// 1, exceeds the cost of any simple path, so flow left on an artificial
-/// arc at the optimum proves the instance infeasible. Big-M must stay
-/// within kInfCost, which leaves potentials (below 2 big-M) and reduced
-/// costs (below 3 big-M) room to never overflow; costs that do not allow
-/// it are refused as kBadInstance.
+/// Packing start. Where the negative-cost arcs chain (the saturated
+/// start's test below keeps them) and the instance has exactly one
+/// source and one sink, which is every sparse allocation graph and no
+/// dense one, the start is a feasible flow. Along the depth-first
+/// reverse postorder SSP's start potentials also use, one DP pass over
+/// the arcs forward in that order with spare capacity finds the cheapest
+/// path to the sink, which takes min(supply left, its bottleneck); the
+/// passes repeat until the sink is met, the zero-cost s -> t bypass of an
+/// allocation graph taking whatever is left in one step. The arcs
+/// strictly between their bounds then form the tree: each of its
+/// components hangs from the root on a zero-cost artificial arc that
+/// points into the root and carries nothing, every tree arc is tight and
+/// every other arc sits at the bound its flow gives. Free arcs can send
+/// flow either way, so the tree is strongly feasible by construction; no
+/// artificial arc points out of the root, so none can ever carry flow.
+/// When no forward path reaches the sink, or the free arcs close a cycle,
+/// the start falls back to the saturated one.
+///
+/// Artificial start. An artificial root joins every node. A node whose
+/// start balance is >= 0 hangs from it on a zero-cost arc carrying the
+/// balance up; only a deficit node hangs on a big-M arc carrying its
+/// demand down. That tree is strongly feasible, and big-M, max |cost| *
+/// (nodes + 2) + 1, exceeds the cost of any simple path, so flow left on
+/// an artificial arc at the optimum proves the instance infeasible. Big-M
+/// must stay within kInfCost, which leaves potentials (below 2 big-M) and
+/// reduced costs (below 3 big-M) room to never overflow; costs that do
+/// not allow it are refused as kBadInstance.
 ///
 /// Saturated start, kept only when its arcs chain. With b the supplies,
 /// b' the balances once every finite-capacity negative-cost arc is set to
-/// its capacity, and U those arcs' total capacity, the start keeps them
-/// at their upper bound when sum|b'| - sum|b| <= U, that is when at
-/// least half of the imbalance they could create cancels out, and starts
-/// every arc at zero otherwise. On the sparse allocation graphs the
-/// negative segment arcs chain through the cut nodes and the imbalance
-/// lands on the hubs alone, so the test keeps them, and the tree starts
-/// with those arcs already priced right; on the dense graphs the O(s^2)
-/// negative transitions do not chain, pushing them all at once would be
-/// mostly undone pivot by pivot, and the test drops them.
+/// its capacity, and U those arcs' total capacity, the artificial start
+/// keeps them at their upper bound when sum|b'| - sum|b| <= U, that is
+/// when at least half of the imbalance they could create cancels out, and
+/// starts every arc at zero otherwise. On the sparse allocation graphs
+/// the negative segment arcs chain through the cut nodes and the
+/// imbalance lands on the hubs alone, so the test keeps them (and opens
+/// the packing start); on the dense graphs the O(s^2) negative
+/// transitions do not chain, pushing them all at once would be mostly
+/// undone pivot by pivot, and the test drops them.
 ///
 /// Pricing. Only the real arcs are priced: an artificial arc leaves the
 /// tree empty, and an optimum that needs it again would carry flow
@@ -98,9 +117,63 @@ bool artificial_cost(const Graph& g, Cost& big_m) {
          checked_add(scaled, 1, big_m) && big_m <= kInfCost;
 }
 
+/// The saturated start's test: writes the start balances into \p
+/// balance (the supplies, less what saturating every finite-capacity
+/// negative-cost arc routes, when that is kept) and returns whether it
+/// is kept.
+bool saturated_start(const Graph& g, std::vector<Flow>& balance) {
+  const NodeId n = g.num_nodes();
+  balance.resize(static_cast<std::size_t>(n));
+  Flow before = 0;
+  bool fits = true;
+  for (NodeId v = 0; v < n; ++v) {
+    const Flow b = g.supply(v);
+    balance[static_cast<std::size_t>(v)] = b;
+    fits = fits && b >= -kInfFlow && b <= kInfFlow &&
+           checked_add(before, b < 0 ? -b : b, before);
+  }
+  Flow saturated = 0;
+  for (ArcId a = 0; a < g.num_arcs() && fits; ++a) {
+    const Arc& arc = g.arc(a);
+    if (!saturable(arc)) continue;
+    Flow& out = balance[static_cast<std::size_t>(arc.tail)];
+    Flow& in = balance[static_cast<std::size_t>(arc.head)];
+    fits = checked_add(saturated, arc.upper, saturated) &&
+           checked_add(out, -arc.upper, out) &&
+           checked_add(in, arc.upper, in);
+  }
+  Flow after = 0;
+  for (NodeId v = 0; v < n && fits; ++v) {
+    const Flow b = balance[static_cast<std::size_t>(v)];
+    fits = b >= -kInfFlow && b <= kInfFlow &&
+           checked_add(after, b < 0 ? -b : b, after);
+  }
+  if (fits && saturated > 0 && after - before <= saturated) return true;
+  for (NodeId v = 0; v < n; ++v) {
+    balance[static_cast<std::size_t>(v)] = g.supply(v);
+  }
+  return false;
+}
+
+/// The one node with positive supply and the one with negative supply,
+/// or false when there are more of either.
+bool single_source_and_sink(const Graph& g, NodeId& source, NodeId& sink) {
+  source = kInvalidNode;
+  sink = kInvalidNode;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const Flow b = g.supply(v);
+    if (b == 0) continue;
+    NodeId& end = b > 0 ? source : sink;
+    if (end != kInvalidNode) return false;
+    end = v;
+  }
+  return source != kInvalidNode && sink != kInvalidNode;
+}
+
 class NetworkSimplex {
  public:
-  NetworkSimplex(const Graph& g, Cost big_m, SimplexScratch& s)
+  NetworkSimplex(const Graph& g, Cost big_m, SolveGuard* guard,
+                 SimplexScratch& s)
       : s_(s), real_arcs_(g.num_arcs()), root_(g.num_nodes()) {
     const NodeId n = g.num_nodes();
     const auto nodes = static_cast<std::size_t>(n) + 1;
@@ -134,7 +207,7 @@ class NetworkSimplex {
     s_.dirty.reserve(nodes);
     s_.candidates.clear();
     s_.candidates.reserve(list_size_);
-    const bool saturate = simplex_saturated_start(g, s_.balance);
+    const bool saturate = saturated_start(g, s_.balance);
 
     tail_ = s_.tail.data();
     head_ = s_.head.data();
@@ -153,53 +226,23 @@ class NetworkSimplex {
 
     for (ArcId a = 0; a < real_arcs_; ++a) {
       const Arc& arc = g.arc(a);
-      const bool full = saturate && saturable(arc);
       tail_[a] = arc.tail;
       head_[a] = arc.head;
       cap_[a] = arc.upper;
       cost_[a] = arc.cost;
-      flow_[a] = full ? arc.upper : 0;
-      state_[a] = full ? kUpper : kLower;
     }
-
-    // The start tree: every node a leaf of the root, threaded in id
-    // order, with the potential that makes its artificial arc tight.
-    parent_[root_] = kInvalidNode;
-    pred_[root_] = kInvalidArc;
-    pred_dir_[root_] = kUp;
-    thread_[root_] = n > 0 ? 0 : root_;
-    rev_thread_[n > 0 ? 0 : root_] = root_;
-    succ_num_[root_] = n + 1;
-    last_succ_[root_] = n > 0 ? n - 1 : root_;
-    pi_[root_] = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      const ArcId a = real_arcs_ + v;
-      const Flow b = s_.balance[static_cast<std::size_t>(v)];
-      parent_[v] = root_;
-      pred_[v] = a;
-      thread_[v] = v + 1;
-      rev_thread_[v + 1] = v;
-      succ_num_[v] = 1;
-      last_succ_[v] = v;
-      cap_[a] = kInfFlow;
-      state_[a] = kTree;
-      if (b >= 0) {
-        tail_[a] = v;
-        head_[a] = root_;
-        cost_[a] = 0;
-        flow_[a] = b;
-        pred_dir_[v] = kUp;
-        pi_[v] = 0;
-      } else {
-        tail_[a] = root_;
-        head_[a] = v;
-        cost_[a] = big_m;
-        flow_[a] = -b;
-        pred_dir_[v] = kDown;
-        pi_[v] = big_m;
-      }
+    NodeId source = kInvalidNode;
+    NodeId sink = kInvalidNode;
+    if (saturate && single_source_and_sink(g, source, sink) &&
+        pack(g, source, sink, guard) && packed_tree(g)) {
+      start_ = SimplexStart::kPacked;
+    } else {
+      start_ = saturate ? SimplexStart::kSaturated : SimplexStart::kArtificial;
+      artificial_tree(g, big_m, saturate);
     }
   }
+
+  SimplexStart start() const { return start_; }
 
   /// Pivots to optimality. With \p tree_violation set, checks the tree
   /// at the start and after every pivot, and stops at the first
@@ -238,6 +281,209 @@ class NetworkSimplex {
   }
 
  private:
+  /// Routes \p source's supply to \p sink along cheapest paths of arcs
+  /// forward in the depth-first reverse postorder, one DP pass over
+  /// those with spare capacity per path, and leaves the flow in flow_.
+  /// The distances live in pi_ and each node's path arc, as its place in
+  /// the forward list, in pred_ until the start tree overwrites them.
+  /// False when no forward path reaches the sink, or when the guard
+  /// trips: the fallback start is cheap and the pivot loop's first tick
+  /// reports the overrun.
+  bool pack(const Graph& g, NodeId source, NodeId sink, SolveGuard* guard) {
+    const NodeId n = root_;
+    detail::alloc_tick(
+        static_cast<std::int64_t>(real_arcs_) * SimplexScratch::kPackArcBytes +
+        static_cast<std::int64_t>(n) * SimplexScratch::kPackNodeBytes);
+    dfs_reverse_postorder(g, s_.dfs_cursor, s_.dfs_stack, s_.order);
+    s_.position.resize(static_cast<std::size_t>(n));
+    NodeId* position = s_.position.data();
+    for (NodeId i = 0; i < n; ++i) {
+      position[s_.order[static_cast<std::size_t>(i)]] = i;
+    }
+    // Each forward arc in the order the pass relaxes them: grouped by
+    // tail in the order, so every arc into a node comes before any arc
+    // out of it. The list is walked once more to hand the flow back.
+    const auto for_each_forward_arc = [&](auto&& visit) {
+      for (const NodeId v : s_.order) {
+        for (const ArcId a : g.out_arcs(v)) {
+          if (cap_[a] > 0 && position[head_[a]] > position[v]) visit(a);
+        }
+      }
+    };
+    std::vector<SimplexScratch::ForwardArc>& forward = s_.forward;
+    forward.clear();
+    forward.reserve(static_cast<std::size_t>(real_arcs_));
+    for_each_forward_arc([&](ArcId a) {
+      forward.push_back({tail_[a], head_[a], cost_[a], cap_[a]});
+    });
+
+    constexpr Cost kUnreached = std::numeric_limits<Cost>::max();
+    Cost* dist = pi_;
+    ArcId* via = pred_;
+    const auto arcs = static_cast<ArcId>(forward.size());
+    for (Flow left = g.supply(source); left > 0;) {
+      if (guard != nullptr && !guard->tick()) return false;
+      std::fill(dist, dist + n, kUnreached);
+      dist[source] = 0;
+      for (ArcId k = 0; k < arcs; ++k) {
+        const SimplexScratch::ForwardArc& f =
+            forward[static_cast<std::size_t>(k)];
+        const Cost du = dist[f.tail];
+        if (du == kUnreached || f.spare == 0) continue;
+        const Cost d = du + f.cost;
+        if (d < dist[f.head]) {
+          dist[f.head] = d;
+          via[f.head] = k;
+        }
+      }
+      if (dist[sink] == kUnreached) return false;
+      Flow delta = left;
+      for (NodeId v = sink; v != source;) {
+        const SimplexScratch::ForwardArc& f =
+            forward[static_cast<std::size_t>(via[v])];
+        delta = std::min(delta, f.spare);
+        v = f.tail;
+      }
+      for (NodeId v = sink; v != source;) {
+        SimplexScratch::ForwardArc& f =
+            forward[static_cast<std::size_t>(via[v])];
+        f.spare -= delta;
+        v = f.tail;
+      }
+      left -= delta;
+    }
+    std::fill(flow_, flow_ + real_arcs_, 0);
+    std::size_t k = 0;
+    for_each_forward_arc(
+        [&](ArcId a) { flow_[a] = cap_[a] - forward[k++].spare; });
+    return true;
+  }
+
+  /// The start tree of the packed flow in flow_: the arcs strictly
+  /// between their bounds, searched depth first from every node in id
+  /// order, each search's first node hanging from the root on its
+  /// zero-cost artificial arc. False when those arcs close a cycle.
+  bool packed_tree(const Graph& g) {
+    const NodeId n = root_;
+    for (ArcId a = 0; a < real_arcs_; ++a) {
+      state_[a] = flow_[a] == 0 ? kLower
+                  : flow_[a] == cap_[a] ? kUpper
+                                        : kTree;
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      const ArcId a = real_arcs_ + v;
+      tail_[a] = v;
+      head_[a] = root_;
+      cap_[a] = kInfFlow;
+      cost_[a] = 0;
+      flow_[a] = 0;
+      state_[a] = kLower;
+      pred_[v] = kInvalidArc;  // Not yet reached.
+    }
+    parent_[root_] = kInvalidNode;
+    pred_[root_] = kInvalidArc;
+    pred_dir_[root_] = kUp;
+    succ_num_[root_] = n + 1;
+    pi_[root_] = 0;
+
+    // Preorder search; thread grows as nodes are reached, succ_num holds
+    // a node's arrival count until its subtree is done.
+    int* cursor = s_.dfs_cursor.data();
+    std::vector<NodeId>& stack = s_.dfs_stack;
+    NodeId last = root_;
+    NodeId reached = 0;
+    const auto reach = [&](NodeId v, NodeId parent, ArcId a, Cost pi) {
+      parent_[v] = parent;
+      pred_[v] = a;
+      pred_dir_[v] = tail_[a] == v ? kUp : kDown;
+      pi_[v] = pi;
+      thread_[last] = v;
+      rev_thread_[v] = last;
+      last = v;
+      succ_num_[v] = reached++;
+      cursor[v] = 0;
+      stack.push_back(v);
+    };
+    for (NodeId r = 0; r < n; ++r) {
+      if (pred_[r] != kInvalidArc) continue;
+      state_[real_arcs_ + r] = kTree;
+      stack.clear();
+      reach(r, root_, real_arcs_ + r, 0);
+      while (!stack.empty()) {
+        const NodeId v = stack.back();
+        const Graph::ArcRange out = g.out_arcs(v);
+        const Graph::ArcRange in = g.in_arcs(v);
+        const auto degree = static_cast<int>(out.size() + in.size());
+        int& c = cursor[v];
+        while (c < degree) {
+          const auto i = static_cast<std::size_t>(c++);
+          const ArcId a = i < out.size() ? out[i] : in[i - out.size()];
+          if (state_[a] != kTree || a == pred_[v]) continue;
+          const bool down = tail_[a] == v;
+          const NodeId w = down ? head_[a] : tail_[a];
+          if (pred_[w] != kInvalidArc) return false;  // A cycle.
+          reach(w, v, a, down ? pi_[v] + cost_[a] : pi_[v] - cost_[a]);
+          break;
+        }
+        if (stack.back() != v) continue;  // Descended into w.
+        succ_num_[v] = reached - succ_num_[v];
+        last_succ_[v] = last;
+        stack.pop_back();
+      }
+    }
+    thread_[last] = root_;
+    rev_thread_[root_] = last;
+    last_succ_[root_] = last;
+    return true;
+  }
+
+  /// The artificial start: every node a leaf of the root, threaded in
+  /// id order, with the potential that makes its artificial arc tight;
+  /// the negative arcs start at their capacity when \p saturate holds.
+  void artificial_tree(const Graph& g, Cost big_m, bool saturate) {
+    const NodeId n = root_;
+    for (ArcId a = 0; a < real_arcs_; ++a) {
+      const bool full = saturate && saturable(g.arc(a));
+      flow_[a] = full ? cap_[a] : 0;
+      state_[a] = full ? kUpper : kLower;
+    }
+    parent_[root_] = kInvalidNode;
+    pred_[root_] = kInvalidArc;
+    pred_dir_[root_] = kUp;
+    thread_[root_] = n > 0 ? 0 : root_;
+    rev_thread_[n > 0 ? 0 : root_] = root_;
+    succ_num_[root_] = n + 1;
+    last_succ_[root_] = n > 0 ? n - 1 : root_;
+    pi_[root_] = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      const ArcId a = real_arcs_ + v;
+      const Flow b = s_.balance[static_cast<std::size_t>(v)];
+      parent_[v] = root_;
+      pred_[v] = a;
+      thread_[v] = v + 1;
+      rev_thread_[v + 1] = v;
+      succ_num_[v] = 1;
+      last_succ_[v] = v;
+      cap_[a] = kInfFlow;
+      state_[a] = kTree;
+      if (b >= 0) {
+        tail_[a] = v;
+        head_[a] = root_;
+        cost_[a] = 0;
+        flow_[a] = b;
+        pred_dir_[v] = kUp;
+        pi_[v] = 0;
+      } else {
+        tail_[a] = root_;
+        head_[a] = v;
+        cost_[a] = big_m;
+        flow_[a] = -b;
+        pred_dir_[v] = kDown;
+        pi_[v] = big_m;
+      }
+    }
+  }
+
   Cost reduced_cost(ArcId a) const {
     return cost_[a] + pi_[tail_[a]] - pi_[head_[a]];
   }
@@ -585,6 +831,7 @@ class NetworkSimplex {
   SimplexScratch& s_;
   ArcId real_arcs_;
   NodeId root_;
+  SimplexStart start_ = SimplexStart::kArtificial;
   std::size_t list_size_ = 0;
   std::size_t minor_limit_ = 0;
   std::size_t minor_left_ = 0;
@@ -618,44 +865,18 @@ FlowSolution run(const Graph& g, SolveGuard* guard, SolverWorkspace& w,
         "2) + 1, exceeds the overflow-safe magnitude kInfCost";
     return refused;
   }
-  NetworkSimplex simplex(g, big_m, w.simplex);
+  NetworkSimplex simplex(g, big_m, guard, w.simplex);
   return simplex.run(g, guard, w.counters, tree_violation);
 }
 
 }  // namespace
 
-bool simplex_saturated_start(const Graph& g, std::vector<Flow>& balance) {
-  const NodeId n = g.num_nodes();
-  balance.resize(static_cast<std::size_t>(n));
-  Flow before = 0;
-  bool fits = true;
-  for (NodeId v = 0; v < n; ++v) {
-    const Flow b = g.supply(v);
-    balance[static_cast<std::size_t>(v)] = b;
-    fits = fits && b >= -kInfFlow && b <= kInfFlow &&
-           checked_add(before, b < 0 ? -b : b, before);
+SimplexStart simplex_start(const Graph& g, SolverWorkspace& w) {
+  Cost big_m = 0;
+  if (g.total_supply() != 0 || !artificial_cost(g, big_m)) {
+    return SimplexStart::kArtificial;
   }
-  Flow saturated = 0;
-  for (ArcId a = 0; a < g.num_arcs() && fits; ++a) {
-    const Arc& arc = g.arc(a);
-    if (!saturable(arc)) continue;
-    Flow& out = balance[static_cast<std::size_t>(arc.tail)];
-    Flow& in = balance[static_cast<std::size_t>(arc.head)];
-    fits = checked_add(saturated, arc.upper, saturated) &&
-           checked_add(out, -arc.upper, out) &&
-           checked_add(in, arc.upper, in);
-  }
-  Flow after = 0;
-  for (NodeId v = 0; v < n && fits; ++v) {
-    const Flow b = balance[static_cast<std::size_t>(v)];
-    fits = b >= -kInfFlow && b <= kInfFlow &&
-           checked_add(after, b < 0 ? -b : b, after);
-  }
-  if (fits && saturated > 0 && after - before <= saturated) return true;
-  for (NodeId v = 0; v < n; ++v) {
-    balance[static_cast<std::size_t>(v)] = g.supply(v);
-  }
-  return false;
+  return NetworkSimplex(g, big_m, nullptr, w.simplex).start();
 }
 
 FlowSolution run_network_simplex(const Graph& g, SolveGuard* guard,

@@ -99,14 +99,13 @@ inline HeapEntry heap_pop_min(SspScratch& s) {
 
 /// Computes valid starting potentials (shortest distances from a virtual
 /// source at distance 0 everywhere) so that all reduced costs start
-/// non-negative. A depth-first search over the arcs with positive
-/// capacity orders the nodes in reverse postorder. On a DAG that is a
-/// topological order, and one relaxation pass in it is exact. On a
-/// cyclic graph (the sparse allocation graph's hub -> cut -> hub
-/// cycles) the passes repeat, Bellman-Ford style, until nothing
-/// changes; only arcs against that order (back arcs) cost another pass.
-/// Returns false if a negative-cost cycle exists (no valid potentials),
-/// or if the guard's budget trips mid-pass — the caller's
+/// non-negative. Relaxing node by node in a depth-first reverse
+/// postorder is exact in one pass on a DAG, where that order is
+/// topological. On a cyclic graph (the sparse allocation graph's hub ->
+/// cut -> hub cycles) the passes repeat, Bellman-Ford style, until
+/// nothing changes; only arcs against that order (back arcs) cost another
+/// pass. Returns false if a negative-cost cycle exists (no valid
+/// potentials), or if the guard's budget trips mid-pass — the caller's
 /// saturate-negative-arcs fallback is cheap and the drain loop's first
 /// tick then reports the overrun, so the cap holds even when the passes
 /// (O(n*m) at worst) dominate the run.
@@ -114,17 +113,45 @@ bool initial_potentials(const Graph& g, SolveGuard* guard, SspScratch& s) {
   const NodeId n = g.num_nodes();
   std::vector<Cost>& pi = s.pi;
   pi.assign(static_cast<std::size_t>(n), 0);
+  const bool acyclic = dfs_reverse_postorder(g, s.dfs_cursor, s.dfs_stack,
+                                             s.order);
 
+  // Bellman-Ford in reverse postorder, with negative-cycle detection.
+  // Each round is a full O(m) pass, so the budget is polled per round;
+  // a DAG needs exactly one.
+  for (NodeId round = 0; round <= n; ++round) {
+    if (!acyclic && guard != nullptr && !guard->tick()) return false;
+    bool changed = false;
+    for (NodeId v : s.order) {
+      const Cost pv = pi[static_cast<std::size_t>(v)];
+      for (ArcId a : g.out_arcs(v)) {
+        const Arc& arc = g.arc(a);
+        if (arc.upper <= 0) continue;
+        if (pv + arc.cost < pi[static_cast<std::size_t>(arc.head)]) {
+          if (round == n) return false;
+          pi[static_cast<std::size_t>(arc.head)] = pv + arc.cost;
+          changed = true;
+        }
+      }
+    }
+    if (acyclic || !changed) return true;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool dfs_reverse_postorder(const Graph& g, std::vector<int>& cursor,
+                           std::vector<NodeId>& stack,
+                           std::vector<NodeId>& order) {
+  const NodeId n = g.num_nodes();
   // Iterative DFS from every unvisited node in id order. cursor[v] is -1
   // before v is visited, the position of v's next out-arc while v is on
   // the stack, and kDone once v is finished.
   constexpr int kDone = -2;
-  std::vector<int>& cursor = s.dfs_cursor;
   cursor.assign(static_cast<std::size_t>(n), -1);
-  std::vector<NodeId>& order = s.order;
   order.clear();
   order.reserve(static_cast<std::size_t>(n));
-  std::vector<NodeId>& stack = s.dfs_stack;
   bool acyclic = true;
   for (NodeId root = 0; root < n; ++root) {
     if (cursor[static_cast<std::size_t>(root)] != -1) continue;
@@ -152,31 +179,8 @@ bool initial_potentials(const Graph& g, SolveGuard* guard, SspScratch& s) {
     }
   }
   std::reverse(order.begin(), order.end());
-
-  // Bellman-Ford in reverse postorder, with negative-cycle detection.
-  // Each round is a full O(m) pass, so the budget is polled per round;
-  // a DAG needs exactly one.
-  for (NodeId round = 0; round <= n; ++round) {
-    if (!acyclic && guard != nullptr && !guard->tick()) return false;
-    bool changed = false;
-    for (NodeId v : order) {
-      const Cost pv = pi[static_cast<std::size_t>(v)];
-      for (ArcId a : g.out_arcs(v)) {
-        const Arc& arc = g.arc(a);
-        if (arc.upper <= 0) continue;
-        if (pv + arc.cost < pi[static_cast<std::size_t>(arc.head)]) {
-          if (round == n) return false;
-          pi[static_cast<std::size_t>(arc.head)] = pv + arc.cost;
-          changed = true;
-        }
-      }
-    }
-    if (acyclic || !changed) return true;
-  }
-  return true;
+  return acyclic;
 }
-
-}  // namespace
 
 SolveStatus ssp_drain(Residual& res, SolveGuard* guard, SolverWorkspace& ws,
                       int max_sinks_per_round) {

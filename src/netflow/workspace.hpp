@@ -211,6 +211,9 @@ struct SspScratch {
 /// node in that preorder; pred_dir says whether pred's tail is the node
 /// (up) or its parent (down). A pivot rewrites these only inside the
 /// moved subtree and on the paths up from the entering and leaving arcs.
+/// The path-packing start adds a node order and the arcs forward in it;
+/// it keeps its distances in pi and each node's path arc in pred until
+/// the start tree takes them over, and hands the flow it routes to flow.
 struct SimplexScratch {
   std::vector<NodeId> tail;
   std::vector<NodeId> head;
@@ -226,8 +229,8 @@ struct SimplexScratch {
   std::vector<NodeId> succ_num;
   std::vector<NodeId> last_succ;
   std::vector<Cost> pi;
-  /// Start balances: the supplies, less what the saturated start already
-  /// routes through real arcs.
+  /// The artificial start's balances: the supplies, less what the
+  /// saturated start already routes through real arcs.
   std::vector<Flow> balance;
   /// Nodes whose thread successor a pivot rewired; their successors'
   /// rev_thread entries are fixed once the splice is done.
@@ -235,6 +238,22 @@ struct SimplexScratch {
   // Candidate-list pivot rule: violating arcs collected by the major
   // block scan, consumed by minor iterations.
   std::vector<ArcId> candidates;
+  // Path-packing start: the depth-first reverse postorder (order) and
+  // each node's place in it (position), the search's cursor and stack,
+  // and the arcs whose head comes later in the order, grouped by tail in
+  // that order, each with what it can still carry (forward). The start
+  // tree's search reuses cursor and stack.
+  struct ForwardArc {
+    NodeId tail;
+    NodeId head;
+    Cost cost;
+    Flow spare;
+  };
+  std::vector<NodeId> order;
+  std::vector<NodeId> position;
+  std::vector<int> dfs_cursor;
+  std::vector<NodeId> dfs_stack;
+  std::vector<ForwardArc> forward;
 
   /// Bytes per arc, artificial arcs included, and per node, the root
   /// included, of the arrays above. The solver announces these to
@@ -246,6 +265,11 @@ struct SimplexScratch {
   static constexpr std::int64_t kNodeBytes =
       6 * sizeof(NodeId) + sizeof(ArcId) + sizeof(signed char) +
       sizeof(Cost) + sizeof(Flow);
+  /// Bytes the path-packing start adds per real arc and per real node;
+  /// it announces them to alloc_tick only when it runs.
+  static constexpr std::int64_t kPackArcBytes = sizeof(ForwardArc);
+  static constexpr std::int64_t kPackNodeBytes =
+      3 * sizeof(NodeId) + sizeof(int);
 
   /// Bytes this scratch currently retains.
   std::int64_t footprint_bytes() const {
@@ -257,7 +281,9 @@ struct SimplexScratch {
            detail::vec_bytes(rev_thread) + detail::vec_bytes(succ_num) +
            detail::vec_bytes(last_succ) + detail::vec_bytes(pi) +
            detail::vec_bytes(balance) + detail::vec_bytes(dirty) +
-           detail::vec_bytes(candidates);
+           detail::vec_bytes(candidates) + detail::vec_bytes(order) +
+           detail::vec_bytes(position) + detail::vec_bytes(dfs_cursor) +
+           detail::vec_bytes(dfs_stack) + detail::vec_bytes(forward);
   }
 };
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "alloc/allocator.hpp"
@@ -111,6 +112,75 @@ TEST(SparseGraph, MatchesTheDenseGraphOn750Seeds) {
   EXPECT_GT(solves, 2500);
 }
 
+/// Fails unless \p r's stats and energies, which finish_result fills
+/// from one walk over the storage events, equal the separate
+/// count_accesses and evaluate_energy calls bit for bit.
+void expect_one_walk_matches_separate_calls(const AllocationProblem& p,
+                                            const AllocationResult& r,
+                                            const std::string& label) {
+  const AccessStats stats = count_accesses(p, r.assignment);
+  EXPECT_EQ(r.stats.mem_reads, stats.mem_reads) << label;
+  EXPECT_EQ(r.stats.mem_writes, stats.mem_writes) << label;
+  EXPECT_EQ(r.stats.reg_reads, stats.reg_reads) << label;
+  EXPECT_EQ(r.stats.reg_writes, stats.reg_writes) << label;
+  EXPECT_EQ(r.stats.mem_read_ports, stats.mem_read_ports) << label;
+  EXPECT_EQ(r.stats.mem_write_ports, stats.mem_write_ports) << label;
+  EXPECT_EQ(r.stats.reg_read_ports, stats.reg_read_ports) << label;
+  EXPECT_EQ(r.stats.reg_write_ports, stats.reg_write_ports) << label;
+  EXPECT_EQ(r.stats.mem_locations, stats.mem_locations) << label;
+  const EnergyBreakdown static_energy =
+      evaluate_energy(p, r.assignment, energy::RegisterModel::kStatic);
+  const EnergyBreakdown activity_energy =
+      evaluate_energy(p, r.assignment, energy::RegisterModel::kActivity);
+  EXPECT_EQ(r.static_energy.memory, static_energy.memory) << label;
+  EXPECT_EQ(r.static_energy.register_file, static_energy.register_file)
+      << label;
+  EXPECT_EQ(r.activity_energy.memory, activity_energy.memory) << label;
+  EXPECT_EQ(r.activity_energy.register_file, activity_energy.register_file)
+      << label;
+}
+
+// finish_result walks the storage events once for the access counts and
+// both register models' energies. On the 750 differential problems at
+// R = peak/2 and on the DSP kernel suite with measured activities at R
+// = 4, each allocated under both register models, it must equal the
+// separate calls bit for bit.
+TEST(SparseGraph, FinishResultMatchesTheSeparateEvaluations) {
+  int checked = 0;
+  for (const auto model :
+       {energy::RegisterModel::kStatic, energy::RegisterModel::kActivity}) {
+    for (std::uint64_t seed = 1; seed <= 750; ++seed) {
+      AllocationProblem p = differential_problem(seed);
+      p.num_registers = std::max(1, p.max_density() / 2);
+      p.params.register_model = model;
+      const AllocationResult r = allocate(p);
+      if (!r.feasible) continue;
+      ++checked;
+      expect_one_walk_matches_separate_calls(p, r,
+                                             "seed " + std::to_string(seed));
+    }
+    for (const ir::BasicBlock& bb :
+         {workloads::make_fir(8), workloads::make_iir_biquad(),
+          workloads::make_elliptic_wave_filter(),
+          workloads::make_fft_butterfly(), workloads::make_dct4(),
+          workloads::make_fft(8), workloads::make_matmul(3),
+          workloads::make_conv3x3(), workloads::make_lattice(4),
+          workloads::make_lms(4), workloads::make_viterbi_acs(),
+          workloads::make_goertzel(4), workloads::make_rsp(6)}) {
+      energy::EnergyParams params;
+      params.register_model = model;
+      const AllocationProblem p = make_problem_from_block(
+          bb, sched::list_schedule(bb, {2, 2}), 4, params,
+          workloads::random_inputs(bb, 16, 3));
+      const AllocationResult r = allocate(p);
+      ASSERT_TRUE(r.feasible) << bb.name() << ": " << r.message;
+      ++checked;
+      expect_one_walk_matches_separate_calls(p, r, bb.name());
+    }
+  }
+  EXPECT_GT(checked, 1100);
+}
+
 /// The compile-large benchmark's 12 blocks (128-1024 variables, R =
 /// vars/8, default energies), and the optimal flow cost of each block's
 /// dense density-region graph.
@@ -199,8 +269,9 @@ TEST(SparseGraph, CompileLargeBlocksMatchTheDenseOptimumUnderEveryBackend) {
       if (b.vars == 1024 && b.index == 3 &&
           kind == netflow::SolverKind::kNetworkSimplex) {
         // Pivot counts are exact: 13,383 from an all-big-M start with
-        // every arc at zero, 9,516 from the saturated start.
-        EXPECT_LE(r.solve_diagnostics.perf.simplex_pivots, 11000);
+        // every arc at zero, 9,516 from the saturated start, 1,952 from
+        // the packing start.
+        EXPECT_LE(r.solve_diagnostics.perf.simplex_pivots, 2000);
       }
     }
   }
@@ -240,18 +311,22 @@ StartImbalance start_imbalance(const netflow::Graph& g) {
   return out;
 }
 
-// The simplex's start test keeps the saturated start where the negative
-// segment arcs chain through cut nodes (every compile-large block) and
-// drops it where the dense graph's negative transitions do not (dense
-// activity blocks of 64-512 variables at R = 1, peak/2 and peak).
-TEST(SparseGraph, SimplexStartTestKeepsSaturationOnSparseBlocksOnly) {
-  std::vector<netflow::Flow> balance;
+// The simplex starts from a path packing where its start test keeps
+// the saturated start, the negative segment arcs chaining through cut
+// nodes, and the instance has one source and one sink: every
+// compile-large block. Where the dense graph's negative transitions do
+// not chain (dense activity blocks of 64-512 variables at R = 1, peak/2
+// and peak), the test drops the saturated start and the gate stays
+// shut.
+TEST(SparseGraph, SimplexPacksSparseBlocksOnly) {
+  netflow::SolverWorkspace ws;
   for (const CompileBlock& b : kCompileBlocks) {
     const AllocationProblem p = compile_block(b);
     const netflow::Graph g =
         st_graph(p, build_flow_graph(p, GraphStyle::kDensityRegions));
     ASSERT_FALSE(g.has_lower_bounds());
-    EXPECT_TRUE(netflow::internal::simplex_saturated_start(g, balance))
+    EXPECT_EQ(netflow::internal::simplex_start(g, ws),
+              netflow::internal::SimplexStart::kPacked)
         << b.vars << "/" << b.index;
     const StartImbalance imbalance = start_imbalance(g);
     EXPECT_LE(imbalance.after - imbalance.before, imbalance.saturated);
@@ -277,7 +352,8 @@ TEST(SparseGraph, SimplexStartTestKeepsSaturationOnSparseBlocksOnly) {
       p.num_registers = r;
       const netflow::Graph g = st_graph(p, spec);
       ASSERT_FALSE(g.has_lower_bounds());
-      EXPECT_FALSE(netflow::internal::simplex_saturated_start(g, balance))
+      EXPECT_EQ(netflow::internal::simplex_start(g, ws),
+                netflow::internal::SimplexStart::kArtificial)
           << vars << " R=" << r;
       const StartImbalance imbalance = start_imbalance(g);
       EXPECT_GT(imbalance.after - imbalance.before, imbalance.saturated);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -726,8 +727,17 @@ TEST(Engine, SessionCancelSingleTicketLeavesSiblingsAlone) {
 }
 
 TEST(Engine, SessionCancelAllWindsDownEveryTicket) {
+  // Every solve waits in its post-solve hook until cancel_all() has
+  // returned, so at most one solve per worker can finish before the
+  // cancellation, however the threads are scheduled.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
   EngineOptions opts;
   opts.threads = 4;
+  opts.alloc.solve.post_solve_hook = [released](const netflow::Graph&,
+                                                netflow::FlowSolution&) {
+    released.wait();
+  };
   const Engine engine(opts);
   Session session = engine.open_session();
   constexpr std::size_t kN = 32;
@@ -735,6 +745,7 @@ TEST(Engine, SessionCancelAllWindsDownEveryTicket) {
     session.submit(random_problem(seed));
   }
   session.cancel_all();
+  release.set_value();
 
   // collect() must not hang: cancelled jobs still run and fast-exit.
   const std::vector<alloc::AllocationResult> results = session.collect();
@@ -749,9 +760,9 @@ TEST(Engine, SessionCancelAllWindsDownEveryTicket) {
       EXPECT_FALSE(results[i].feasible) << "ticket " << i;
     }
   }
-  // With 32 solves on 4 threads and an immediate cancel_all, the queue
-  // depth guarantees most tickets get withdrawn before a worker starts.
-  EXPECT_GT(cancelled, 0);
+  // The hook holds the workers, so every ticket no worker had taken when
+  // cancel_all() fired is withdrawn.
+  EXPECT_GE(cancelled, static_cast<std::int64_t>(kN) - opts.threads);
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.solves_started, static_cast<std::int64_t>(kN));

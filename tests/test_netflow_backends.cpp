@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc/flow_graph.hpp"
 #include "netflow/internal_solvers.hpp"
 #include "netflow/netflow.hpp"
 #include "workloads/random_gen.hpp"
@@ -106,32 +107,61 @@ Graph random_instance(std::uint64_t seed) {
   return g;
 }
 
+/// A random s–t instance: random_instance's arcs without lower bounds,
+/// the ring in two seeds of three, and 1-12 units from node 0 to node
+/// n-1. Node 0 heads the depth-first order the simplex's packing start
+/// routes along, so most of those whose negative arcs chain take it.
+Graph st_instance(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto draw = [&rng](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  const auto n = static_cast<NodeId>(draw(4, 23));
+  Graph g(n);
+  if (seed % 3 != 0) {
+    for (NodeId v = 0; v < n; ++v) g.add_arc(v, (v + 1) % n, 40, draw(0, 40));
+  }
+  const std::int64_t arcs = n * draw(1, 6);
+  for (std::int64_t a = 0; a < arcs; ++a) {
+    const auto tail = static_cast<NodeId>(draw(0, n - 1));
+    const auto head = static_cast<NodeId>(draw(0, n - 1));
+    if (tail == head) continue;
+    g.add_arc(tail, head, draw(1, 8), draw(-20, 40));
+  }
+  const Flow units = draw(1, 12);
+  g.add_supply(0, units);
+  g.add_supply(n - 1, -units);
+  return g;
+}
+
 /// The instance the simplex itself runs on: solve() removes lower
 /// bounds first.
 Graph without_lower_bounds(const Graph& g) {
   return g.has_lower_bounds() ? remove_lower_bounds(g).reduced : g;
 }
 
-// The simplex against SSP on instances of three kinds: those whose
-// saturated start the start test keeps, those where it drops it, and
-// infeasible ones, where flow left on an artificial arc must read as
-// kInfeasible. Lower bounds ride along. Statuses must agree, and every
-// optimum must match SSP's objective and be certified.
+// The simplex against SSP on instances of four kinds: those that start
+// from a path packing, those whose saturated start the start test keeps,
+// those where it drops it, and infeasible ones, where flow left on an
+// artificial arc must read as kInfeasible. Lower bounds ride along.
+// Statuses must agree, and every optimum must match SSP's objective and
+// be certified.
 TEST(BackendDifferential, SimplexMatchesSspUnderBothStartsAndOnInfeasible) {
   SolverWorkspace shared;
+  int packed = 0;
   int kept = 0;
   int dropped = 0;
   int infeasible = 0;
   int with_lower_bounds = 0;
-  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
-    const Graph g = random_instance(seed);
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    const Graph g =
+        seed <= 1500 ? random_instance(seed) : st_instance(seed);
     bool negative_arcs = false;
     for (ArcId a = 0; a < g.num_arcs(); ++a) {
       negative_arcs = negative_arcs || g.arc(a).cost < 0;
     }
-    std::vector<Flow> balance;
-    const bool saturated =
-        internal::simplex_saturated_start(without_lower_bounds(g), balance);
+    const internal::SimplexStart start =
+        internal::simplex_start(without_lower_bounds(g), shared);
     const FlowSolution ssp =
         solve(g, SolverKind::kSuccessiveShortestPaths, nullptr, &shared);
     const FlowSolution simplex =
@@ -139,10 +169,24 @@ TEST(BackendDifferential, SimplexMatchesSspUnderBothStartsAndOnInfeasible) {
     ASSERT_EQ(simplex.status, ssp.status) << "seed " << seed;
     if (!ssp.optimal()) {
       ASSERT_EQ(ssp.status, SolveStatus::kInfeasible) << "seed " << seed;
+      // A packing is a feasible flow.
+      ASSERT_NE(start, internal::SimplexStart::kPacked) << "seed " << seed;
       ++infeasible;
       continue;
     }
-    if (negative_arcs) ++(saturated ? kept : dropped);
+    if (negative_arcs) {
+      switch (start) {
+        case internal::SimplexStart::kPacked:
+          ++packed;
+          break;
+        case internal::SimplexStart::kSaturated:
+          ++kept;
+          break;
+        case internal::SimplexStart::kArtificial:
+          ++dropped;
+          break;
+      }
+    }
     if (g.has_lower_bounds()) ++with_lower_bounds;
     EXPECT_EQ(simplex.cost, ssp.cost) << "seed " << seed;
     ASSERT_TRUE(check_feasible(g, simplex.arc_flow).ok) << "seed " << seed;
@@ -151,17 +195,64 @@ TEST(BackendDifferential, SimplexMatchesSspUnderBothStartsAndOnInfeasible) {
     ASSERT_TRUE(checked_flow_cost(g, simplex.arc_flow, recomputed));
     EXPECT_EQ(recomputed, simplex.cost) << "seed " << seed;
   }
+  EXPECT_GT(packed, 150);
   EXPECT_GT(kept, 300);
   EXPECT_GT(dropped, 300);
   EXPECT_GT(infeasible, 300);
   EXPECT_GT(with_lower_bounds, 300);
 }
 
+/// A static-model allocation graph, which takes the sparse encoding:
+/// 8-40 random variables at R = 1-8, under both graph styles, with the
+/// flow value R at s and t.
+Graph sparse_allocation_graph(std::uint64_t seed) {
+  workloads::RandomLifetimeOptions lopts;
+  lopts.num_vars = 8 + static_cast<int>(seed % 33);
+  lopts.num_steps = lopts.num_vars / 2 + 2;
+  const int registers = 1 + static_cast<int>(seed % 8);
+  const alloc::AllocationProblem p = alloc::make_problem(
+      workloads::random_lifetimes(seed, lopts), lopts.num_steps, registers,
+      energy::EnergyParams{},
+      energy::ActivityMatrix(static_cast<std::size_t>(lopts.num_vars)));
+  const alloc::FlowGraphSpec spec = alloc::build_flow_graph(
+      p, seed % 2 == 0 ? alloc::GraphStyle::kDensityRegions
+                       : alloc::GraphStyle::kAllPairs);
+  Graph g = spec.graph;
+  g.add_supply(spec.s, registers);
+  g.add_supply(spec.t, -registers);
+  return g;
+}
+
+/// Checks the simplex tree at the start and after every pivot on \p g,
+/// and that the checked run answers exactly as the production one; adds
+/// the pivots taken to \p pivots.
+void expect_tree_invariants(const Graph& g, SolverWorkspace& checked_ws,
+                            SolverWorkspace& plain_ws, std::int64_t& pivots,
+                            const std::string& label) {
+  const std::int64_t before = checked_ws.counters.simplex_pivots;
+  FlowSolution checked;
+  const std::string violation =
+      internal::check_simplex_tree(g, checked_ws, checked);
+  ASSERT_EQ(violation, "") << label;
+  pivots += checked_ws.counters.simplex_pivots - before;
+  const FlowSolution plain =
+      solve(g, SolverKind::kNetworkSimplex, nullptr, &plain_ws);
+  ASSERT_EQ(checked.status, plain.status) << label;
+  EXPECT_EQ(checked.cost, plain.cost) << label;
+  EXPECT_EQ(checked.arc_flow, plain.arc_flow) << label;
+  if (plain.optimal()) {
+    EXPECT_TRUE(certify_optimal(g, plain.arc_flow)) << label;
+  }
+}
+
 // The spanning tree after every pivot, on small instances of both
-// families: thread a preorder of the parent tree, succ_num and last_succ
-// in agreement with it, pred naming the tree arc, every tree arc tight,
-// every non-tree arc at its bound, and the tree strongly feasible. The
-// checked run must also answer exactly as the production one.
+// random families and on sparse allocation graphs, which start from a
+// path packing, so the start tree itself is checked: thread a preorder
+// of the parent tree, succ_num and last_succ in agreement with it, pred
+// naming the tree arc, every tree arc tight, every non-tree arc at its
+// bound, and the tree strongly feasible. Two s–t instances whose
+// packing the start must drop ride along. The checked run must also
+// answer exactly as the production one.
 TEST(NetworkSimplexTree, InvariantsHoldAfterEveryPivot) {
   SolverWorkspace checked_ws;
   SolverWorkspace plain_ws;
@@ -171,19 +262,52 @@ TEST(NetworkSimplexTree, InvariantsHoldAfterEveryPivot) {
         seed % 2 == 0
             ? random_instance(seed)
             : workloads::random_flow_problem(seed, options_for(seed)));
-    const std::int64_t before = checked_ws.counters.simplex_pivots;
-    FlowSolution checked;
-    const std::string violation =
-        internal::check_simplex_tree(g, checked_ws, checked);
-    ASSERT_EQ(violation, "") << "seed " << seed;
-    pivots += checked_ws.counters.simplex_pivots - before;
-    const FlowSolution plain =
-        solve(g, SolverKind::kNetworkSimplex, nullptr, &plain_ws);
-    ASSERT_EQ(checked.status, plain.status) << "seed " << seed;
-    EXPECT_EQ(checked.cost, plain.cost) << "seed " << seed;
-    EXPECT_EQ(checked.arc_flow, plain.arc_flow) << "seed " << seed;
+    expect_tree_invariants(g, checked_ws, plain_ws, pivots,
+                           "seed " + std::to_string(seed));
   }
   EXPECT_GT(pivots, 10000);
+
+  int packed = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Graph g = without_lower_bounds(sparse_allocation_graph(seed));
+    if (internal::simplex_start(g, checked_ws) ==
+        internal::SimplexStart::kPacked) {
+      ++packed;
+    }
+    expect_tree_invariants(g, checked_ws, plain_ws, pivots,
+                           "allocation seed " + std::to_string(seed));
+  }
+  EXPECT_GT(packed, 150);
+
+  // Three units from 0 to 1. The packing routes one along 0 -> 3 -> 2
+  // -> 1 (-24, the cheap 0 -> 3 arc saturates), one along 0 -> 2 -> 1
+  // (-18, 2 -> 1 saturates) and the last along 0 -> 3 -> 1 over the dear
+  // 0 -> 3 arc (14). That leaves 0 -> 3 (dear), 3 -> 2 and 0 -> 2
+  // strictly between their bounds: a cycle, so the start falls back.
+  Graph cycle(4);
+  cycle.add_arc(3, 2, 5, -8);
+  cycle.add_arc(0, 3, 4, 8);
+  cycle.add_arc(2, 1, 2, -9);
+  cycle.add_arc(3, 1, 1, 6);
+  cycle.add_arc(0, 3, 1, -7);
+  cycle.add_arc(0, 2, 2, -9);
+  cycle.add_supply(0, 3);
+  cycle.add_supply(1, -3);
+  // The sink, node 0, heads the depth-first order, so the only s–t arc
+  // runs backward in it and the packing gets stuck.
+  Graph stuck(2);
+  stuck.add_arc(0, 1, 1, 5);
+  stuck.add_arc(1, 0, 1, -3);
+  stuck.add_supply(1, 1);
+  stuck.add_supply(0, -1);
+  for (const Graph* g : {&cycle, &stuck}) {
+    EXPECT_EQ(internal::simplex_start(*g, checked_ws),
+              internal::SimplexStart::kSaturated);
+    expect_tree_invariants(*g, checked_ws, plain_ws, pivots,
+                           g == &cycle ? "cycle" : "stuck");
+    EXPECT_EQ(solve(*g, SolverKind::kNetworkSimplex).cost,
+              solve(*g, SolverKind::kSuccessiveShortestPaths).cost);
+  }
 }
 
 // Every backend is a deterministic scratch-arena algorithm: a cold solve
